@@ -65,8 +65,9 @@
 use crate::autoscale::{AutoscaleOptions, Controller};
 use crate::channel::{bounded, spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
 use crate::exec::{
-    spawn_collector, CensusReport, CollectorConfig, CoreMap, EntryState, InFlight, ScaleConfirm,
-    StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared, WorkerWiring,
+    flush_slice, pace_until, spawn_collector, CensusReport, CollectorConfig, CoreMap, EntryState,
+    InFlight, ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared,
+    WorkerWiring, MIN_PACING_SLICE,
 };
 use crate::metrics::MetricsBus;
 use crate::options::{Pacing, PipelineOptions, Transport};
@@ -76,7 +77,7 @@ use llhj_core::checkpoint::{
 };
 use llhj_core::driver::{DriverSchedule, Injector, StreamEvent};
 use llhj_core::homing::HomePolicy;
-use llhj_core::message::{LeftToRight, MessageBatch, RightToLeft};
+use llhj_core::message::MessageBatch;
 use llhj_core::metrics::AutoscaleReport;
 use llhj_core::node::PipelineNode;
 use llhj_core::predicate::JoinPredicate;
@@ -355,8 +356,6 @@ where
     retired_counters: Vec<NodeCounters>,
     retired_idle_wakeups: u64,
     migration_stall: Option<Duration>,
-    seen_r: usize,
-    seen_s: usize,
     cancelled: bool,
     /// Core placement for worker/collector threads; `None` when pinning is
     /// off or unavailable.  The elastic driver itself stays unpinned: it
@@ -438,7 +437,7 @@ where
             factory,
             constraint,
             workers: Vec::with_capacity(n),
-            entry: EntryState::new(left_tx, right_tx),
+            entry: EntryState::new(left_tx, right_tx, Arc::clone(&hwm), &options),
             in_flight,
             clock,
             stop,
@@ -453,8 +452,6 @@ where
             retired_counters: Vec::new(),
             retired_idle_wakeups: 0,
             migration_stall: None,
-            seen_r: 0,
-            seen_s: 0,
             cancelled: false,
             core_map,
             next_pin_slot: 0,
@@ -591,89 +588,45 @@ where
         self.entry.flush_both(&self.in_flight);
     }
 
-    /// Injects one driver event, applying `batch_size` / `flush_interval`
-    /// exactly like the fixed runtime's driver (same [`EntryState`]).
-    fn inject(
-        &mut self,
-        event: &llhj_core::driver::DriverEvent<R, S>,
-        schedule_r: usize,
-        schedule_s: usize,
-    ) {
+    /// Injects one driver event under the shared flush policy (the same
+    /// [`EntryState`] as the fixed runtime's driver).
+    fn inject(&mut self, event: &llhj_core::driver::DriverEvent<R, S>) {
         self.clock.note_injection(event.at);
-        if let Some(interval) = self.options.flush_interval {
-            self.entry
-                .flush_older_than(event.at, interval, &self.in_flight);
-        }
-        let entry = &mut self.entry;
-        match &event.event {
-            StreamEvent::ArrivalR(r) => {
-                entry
-                    .left
-                    .push_arrival(self.injector.inject_r(r.clone()), event.at);
-                self.metrics.note_arrival();
-                self.seen_r += 1;
-                if entry.left.arrivals >= self.options.batch_size || self.seen_r == schedule_r {
-                    entry
-                        .left
-                        .flush(&self.in_flight, &mut entry.frames_injected);
-                }
-            }
-            StreamEvent::ExpireS(seq) => {
-                // An expiry must never overtake its own arrival: if the
-                // arrival is still parked in the opposite entry buffer
-                // (possible on a sparse mesh shard whose partial frames
-                // outwait the window), flush it ahead of the expiry and
-                // let it settle at its home node before the expiry even
-                // enters — the two travel in opposite directions on
-                // different channels, so only this driver-side barrier
-                // orders them.
-                if entry
-                    .right
-                    .holds_pending(|m| matches!(m, RightToLeft::ArrivalS(t) if t.tuple.seq == *seq))
-                {
-                    entry
-                        .right
-                        .flush(&self.in_flight, &mut entry.frames_injected);
-                    self.in_flight.wait_for_quiescence();
-                }
-                entry.left.push(LeftToRight::ExpiryS(*seq), event.at);
-            }
-            StreamEvent::ArrivalS(s) => {
-                entry
-                    .right
-                    .push_arrival(self.injector.inject_s(s.clone()), event.at);
-                self.metrics.note_arrival();
-                self.seen_s += 1;
-                if entry.right.arrivals >= self.options.batch_size || self.seen_s == schedule_s {
-                    entry
-                        .right
-                        .flush(&self.in_flight, &mut entry.frames_injected);
-                }
-            }
-            StreamEvent::ExpireR(seq) => {
-                if entry
-                    .left
-                    .holds_pending(|m| matches!(m, LeftToRight::ArrivalR(t) if t.tuple.seq == *seq))
-                {
-                    entry
-                        .left
-                        .flush(&self.in_flight, &mut entry.frames_injected);
-                    self.in_flight.wait_for_quiescence();
-                }
-                entry.right.push(RightToLeft::ExpiryR(*seq), event.at);
-            }
+        self.entry.inject(event, &self.injector, &self.in_flight);
+        if matches!(
+            event.event,
+            StreamEvent::ArrivalR(_) | StreamEvent::ArrivalS(_)
+        ) {
+            self.metrics.note_arrival();
         }
     }
 
-    /// Real-time pacing wait before injecting an event scheduled at `at`.
-    /// Returns `true` if the wait was cancelled.
+    /// Applies the flush policy to the pending entry frames at the
+    /// current stream time while the driver is idle: a frame leaves once
+    /// its entry link is empty, an aged one once it reaches
+    /// `flush_interval`.
+    pub(crate) fn poll_entry(&mut self) {
+        let now = self.clock.now();
+        self.entry.poll(now, &self.in_flight);
+    }
+
+    /// Applies a newly published desired width, if any.
+    fn actuate(&mut self, controller: Option<&Controller>) {
+        if let Some(width) = controller.and_then(|c| c.desired_if_changed(self.nodes())) {
+            self.scale_to(width);
+        }
+    }
+
+    /// Real-time pacing wait before injecting an event scheduled at `at`
+    /// (the drivers' shared `exec::pace_until`).  Returns `true` if the
+    /// wait was cancelled.
     ///
-    /// With a `flush_interval` configured the wait is sliced at half the
-    /// interval of wall time: the fixed runtime bounds a partial entry
-    /// frame's wait with a dedicated timer thread, but the elastic driver
-    /// owns its entry buffers, so it plays that role itself — a stream
-    /// that goes silent mid-run still cannot hold an assembled frame
-    /// beyond the interval.
+    /// The flush policy runs before the first park, so a frame leaves on
+    /// an idle link as soon as the driver has caught up.  With a
+    /// `flush_interval` configured the wait is also sliced at half the
+    /// interval of wall time, and every slice re-applies the policy — a
+    /// frame held back by a busy entry link cannot outwait the interval,
+    /// even when the stream goes silent.
     ///
     /// With a `controller` attached the wait also *actuates* the
     /// auto-scaler: the slice additionally caps at the controller's
@@ -692,43 +645,17 @@ where
         if !matches!(self.options.pacing, Pacing::RealTime { .. }) {
             return false;
         }
-        let target = self
-            .options
-            .stream_to_wall(at.saturating_since(Timestamp::ZERO));
-        let deadline = self.started + target;
-        let floor = Duration::from_micros(50);
-        let flush_slice = self
-            .options
-            .flush_interval
-            .map(|i| (self.options.stream_to_wall(i) / 2).max(floor));
-        let tick_slice = controller.map(|c| c.tick().max(floor));
-        let slice = match (flush_slice, tick_slice) {
-            (Some(f), Some(t)) => Some(f.min(t)),
-            (s, None) | (None, s) => s,
-        };
-        loop {
-            if let Some(controller) = controller {
-                if let Some(width) = controller.desired_if_changed(self.nodes()) {
-                    self.scale_to(width);
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let wake = match slice {
-                Some(slice) => deadline.min(now + slice),
-                None => deadline,
-            };
-            if cancel.wait_until(wake) {
-                return true;
-            }
-            if let Some(interval) = self.options.flush_interval {
-                let now_ts = self.clock.now();
-                self.entry
-                    .flush_older_than(now_ts, interval, &self.in_flight);
-            }
-        }
+        let deadline = self.started
+            + self
+                .options
+                .stream_to_wall(at.saturating_since(Timestamp::ZERO));
+        let tick = controller.map(|c| c.tick().max(MIN_PACING_SLICE));
+        let slice = flush_slice(&self.options).into_iter().chain(tick).min();
+        self.actuate(controller);
+        pace_until(deadline, slice, cancel, || {
+            self.poll_entry();
+            self.actuate(controller);
+        })
     }
 
     /// Replays a driver schedule against the live pipeline, firing the
@@ -736,6 +663,8 @@ where
     /// replay was cancelled.  Call once per pipeline; then [`Self::finish`].
     pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &ScalePlan) -> bool {
         let cancel = self.options.cancel.clone().unwrap_or_default();
+        self.entry
+            .set_stream_lengths(schedule.r_count(), schedule.s_count());
         let mut steps = plan.steps().iter().peekable();
         for (idx, event) in schedule.events().iter().enumerate() {
             while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
@@ -746,7 +675,7 @@ where
                 self.cancelled = true;
                 break;
             }
-            self.inject(event, schedule.r_count(), schedule.s_count());
+            self.inject(event);
         }
         // Trailing resizes (plan points at or past the schedule end) still
         // run: a conformance sweep may place a resize on the very last
@@ -790,12 +719,14 @@ where
             self.stream_clock(),
         );
         let cancel = self.options.cancel.clone().unwrap_or_default();
+        self.entry
+            .set_stream_lengths(schedule.r_count(), schedule.s_count());
         for event in schedule.events() {
             if cancel.is_cancelled() || self.pace_until(event.at, &cancel, Some(&controller)) {
                 self.cancelled = true;
                 break;
             }
-            self.inject(event, schedule.r_count(), schedule.s_count());
+            self.inject(event);
         }
         self.flush_both();
         controller.finish()
@@ -1148,11 +1079,11 @@ where
     // export/install protocol — without widening the public API.
 
     /// Injects one routed driver event.  The mesh router decides online
-    /// which chain sees an event, so no per-chain schedule totals exist;
-    /// partial frames are flushed by `batch_size`, `flush_interval` and
-    /// the fences instead of the end-of-schedule count.
+    /// which chain sees an event, so no per-chain stream lengths exist:
+    /// a chain's last arrival leaves by the rest of the flush policy, a
+    /// fence, or the end of the run.
     pub(crate) fn inject_routed(&mut self, event: &llhj_core::driver::DriverEvent<R, S>) {
-        self.inject(event, usize::MAX, usize::MAX);
+        self.inject(event);
     }
 
     /// Fences the chain for a mesh-wide reshard (public protocol step).
@@ -1322,6 +1253,8 @@ where
             ChainCheckpointer::new(cfg.shard, cfg.full_interval);
         let mut log: ReplayLog<R, S> = ReplayLog::new(cfg.replay_capacity);
         let cancel = self.options.cancel.clone().unwrap_or_default();
+        self.entry
+            .set_stream_lengths(schedule.r_count(), schedule.s_count());
         let mut steps = plan.steps().iter().peekable();
         for (idx, event) in schedule.events().iter().enumerate() {
             while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
@@ -1332,7 +1265,7 @@ where
                 break;
             }
             log.record(event.clone());
-            self.inject(event, schedule.r_count(), schedule.s_count());
+            self.inject(event);
             let consumed = idx + 1;
             if consumed.is_multiple_of(cfg.every_events) {
                 let ckpt = self.capture_checkpoint(0, 1, consumed as u64);
@@ -1500,7 +1433,7 @@ where
             latency_series: collected.series.finish(),
             elapsed: self.started.elapsed(),
             punctuation_count: collected.punctuation_count,
-            arrivals_per_stream: (self.seen_r, self.seen_s),
+            arrivals_per_stream: self.entry.arrivals(),
             frames_injected: self.entry.frames_injected,
             idle_wakeups,
             resize_log: std::mem::take(&mut self.resize_log),
@@ -1699,10 +1632,11 @@ mod tests {
         assert_eq!(outcome.retired_counters.len(), 3);
     }
 
-    /// The elastic counterpart of the fixed runtime's flush-timer
-    /// guarantee: a stream that goes silent mid-run must not hold a
-    /// partial entry frame hostage until the next schedule event — the
-    /// sliced pacing wait flushes it within `flush_interval` of wall time.
+    /// The elastic side of the fixed runtime's silent-gap guarantee: a
+    /// stream that goes silent mid-run must not hold an entry frame
+    /// hostage until the next schedule event — it leaves on the idle
+    /// link, and the sliced pacing wait releases a held-back one within
+    /// `flush_interval` of wall time.
     #[test]
     fn silent_gap_cannot_hold_a_partial_entry_frame() {
         let eq = eq_pred();
@@ -1720,8 +1654,9 @@ mod tests {
             WindowSpec::Time(TimeDelta::from_secs(2)),
         );
         let opts = PipelineOptions {
-            // Far larger than the pre-gap tuple count: without the sliced
-            // wait the first frame would sit out the whole 700 ms gap.
+            // Far larger than the pre-gap tuple count: only the idle-link
+            // and age rules can release the first frame before the gap
+            // ends.
             batch_size: 64,
             flush_interval: Some(TimeDelta::from_millis(10)),
             pacing: Pacing::RealTime { speedup: 1.0 },

@@ -16,8 +16,11 @@
 //!   never sends a command — it *is* an elastic pipeline that never
 //!   resizes.
 //! * [`EntryBatcher`] / [`EntryState`] — the driver's entry-frame assembly
-//!   for one direction / both directions: `batch_size` arrivals per frame,
-//!   expiries riding along, `flush_interval` aging.
+//!   for one direction / both directions, under the one [`FlushPolicy`]:
+//!   flush on an idle entry link once the driver has caught up, batch
+//!   only while the entry node or the driver is busy, up to `batch_size`
+//!   arrivals or `flush_interval` of age.
+//! * [`pace_until`] — the drivers' sliced real-time pacing wait.
 //! * [`spawn_collector`] — the collector thread: reads the high-water
 //!   marks *before* vacuuming (Section 6.1.3 step 1), drains the result
 //!   queues, emits punctuations, and feeds the metrics bus's latency EWMA.
@@ -27,22 +30,27 @@
 //! Everything here is `pub(crate)`: the public API stays in
 //! [`crate::pipeline`] and [`crate::elastic`].
 
-use crate::channel::{unbounded, Receiver, Sender, WaitSet};
+use crate::channel::{unbounded, CancelToken, Receiver, Sender, WaitSet};
 use crate::metrics::MetricsBus;
-use crate::options::Pacing;
+use crate::options::{Pacing, PipelineOptions};
+use llhj_core::driver::{DriverEvent, Injector, StreamEvent};
+use llhj_core::homing::HomePolicy;
 use llhj_core::message::{
     Direction, Handoff, LeftToRight, MessageBatch, NodeOutput, RightToLeft, WindowSegment,
 };
 use llhj_core::node::PipelineNode;
+use llhj_core::predicate::JoinPredicate;
 use llhj_core::punctuation::{HighWaterMarks, OutputItem, Punctuation};
 use llhj_core::rebalance::shed_ranges;
 use llhj_core::result::{ResultTuple, TimedResult};
 use llhj_core::stats::{LatencySeries, LatencySummary, NodeCounters};
-use llhj_core::time::Timestamp;
+use llhj_core::time::{TimeDelta, Timestamp};
+use llhj_core::tuple::SeqNo;
 use llhj_sync::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use llhj_sync::sync::Arc;
 use llhj_sync::thread::{self, JoinHandle};
 use llhj_sync::time::{Duration, Instant};
+use std::collections::VecDeque;
 
 /// Safety-net bound on how long a worker parks between wake-ups.  Workers
 /// are woken eagerly — by frame arrivals through their [`WaitSet`] and by
@@ -278,14 +286,79 @@ pub(crate) fn send_frame<R, S>(
 // Driver-side entry batching
 // ---------------------------------------------------------------------------
 
+/// Shortest pacing slice: a `flush_interval` (or controller tick) below
+/// this would turn the pacing wait into a busy poll.
+pub(crate) const MIN_PACING_SLICE: Duration = Duration::from_micros(50);
+
+/// The drivers' one flush policy: when a direction's pending entry frame
+/// leaves.
+///
+/// A frame is flushed as soon as it holds an arrival, its entry link is
+/// idle — the entry worker has taken every frame sent so far — and the
+/// driver is idle too: it has caught up with the schedule and is about to
+/// wait for the next event.  A node that keeps up under a punctual driver
+/// therefore sees one frame per arrival and pays no batching delay.  While
+/// the link is busy, or while the driver works through overdue events,
+/// arrivals accumulate — that is where batching pays, amortising one
+/// channel operation and wake-up over every arrival that queued up
+/// meanwhile; a driver behind schedule means the chain is behind too, so
+/// a catch-up burst travels in full frames.  Independently of the link, a
+/// frame leaves when it holds `cap` arrivals
+/// ([`PipelineOptions::batch_size`]), when it holds its stream's last
+/// arrival, and when it has been filling for `max_age` of stream time
+/// ([`PipelineOptions::flush_interval`]).  Expiries ride along: a
+/// frame holding only expiries waits for the next arrival, the age bound
+/// or the end of the run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FlushPolicy {
+    cap: usize,
+    max_age: Option<TimeDelta>,
+}
+
+impl FlushPolicy {
+    fn new(options: &PipelineOptions) -> Self {
+        FlushPolicy {
+            cap: options.batch_size,
+            max_age: options.flush_interval,
+        }
+    }
+
+    /// The flush decision for a pending frame of `arrivals` arrivals that
+    /// has been filling for `age` of stream time (`None`: nothing
+    /// pending).  `idle` says whether both the driver and the entry link
+    /// are idle.
+    fn due(&self, arrivals: usize, age: Option<TimeDelta>, stream_ended: bool, idle: bool) -> bool {
+        let Some(age) = age else {
+            return false;
+        };
+        if self.max_age.is_some_and(|max| age >= max) {
+            return true;
+        }
+        arrivals > 0 && (arrivals >= self.cap || stream_ended || idle)
+    }
+}
+
 /// One direction's entry-frame assembly state in the driver: the pending
 /// messages, how many of them are arrivals (expiries ride along without
-/// counting towards `batch_size`), when the frame started filling (for
-/// the `flush_interval` timer), and the entry channel the frames leave on.
+/// counting towards the cap), when the frame started filling (for the age
+/// bound), the arrivals not yet settled, and the entry channel the frames
+/// leave on.
 pub(crate) struct EntryBatcher<M, R, S> {
     pending: Vec<M>,
-    pub(crate) arrivals: usize,
+    arrivals: usize,
     started_at: Option<Timestamp>,
+    /// `(seq, ts)` of every arrival pushed that may not have finished its
+    /// traversal yet — still pending here, or in a link — in push order,
+    /// which is ascending `seq` (a schedule numbers each stream's arrivals
+    /// in arrival order).  Pruned against the direction's traversal-end
+    /// high-water mark; the expiry barrier consults it.
+    unsettled: VecDeque<(SeqNo, Timestamp)>,
+    /// Arrivals pushed over the whole run.
+    injected: usize,
+    /// Length of this direction's stream, `usize::MAX` when unknown (an
+    /// online-routed mesh chain, a recovery replay): the frame holding the
+    /// last arrival leaves at once.
+    stream_len: usize,
     tx: Sender<MessageBatch<R, S>>,
     wrap: fn(Vec<M>) -> MessageBatch<R, S>,
     /// Drained frame buffers flowing back from the direction's sink node
@@ -299,14 +372,14 @@ pub(crate) struct EntryBatcher<M, R, S> {
 }
 
 impl<M, R, S> EntryBatcher<M, R, S> {
-    pub(crate) fn new(
-        tx: Sender<MessageBatch<R, S>>,
-        wrap: fn(Vec<M>) -> MessageBatch<R, S>,
-    ) -> Self {
+    fn new(tx: Sender<MessageBatch<R, S>>, wrap: fn(Vec<M>) -> MessageBatch<R, S>) -> Self {
         EntryBatcher {
             pending: Vec::new(),
             arrivals: 0,
             started_at: None,
+            unsettled: VecDeque::new(),
+            injected: 0,
+            stream_len: usize::MAX,
             tx,
             wrap,
             recycle: None,
@@ -333,21 +406,68 @@ impl<M, R, S> EntryBatcher<M, R, S> {
     }
 
     /// Queues a control message; it rides the next flush.
-    pub(crate) fn push(&mut self, msg: M, at: Timestamp) {
+    fn push(&mut self, msg: M, at: Timestamp) {
         if self.pending.is_empty() {
             self.started_at = Some(at);
         }
         self.pending.push(msg);
     }
 
-    /// Queues a tuple arrival, counting it towards the batch size.
-    pub(crate) fn push_arrival(&mut self, msg: M, at: Timestamp) {
+    /// Queues arrival `seq` (timestamp `ts`), counting it towards the cap
+    /// and tracking it until the traversal-end mark `mark` passes it.
+    fn push_arrival(&mut self, msg: M, seq: SeqNo, ts: Timestamp, at: Timestamp, mark: Timestamp) {
+        self.forget_settled(mark);
+        self.unsettled.push_back((seq, ts));
         self.push(msg, at);
         self.arrivals += 1;
+        self.injected += 1;
+    }
+
+    /// Forgets the arrivals older than `mark`, the largest timestamp of
+    /// an arrival that has reached the far end of the chain.  Arrivals
+    /// travel a direction in FIFO order and leave the driver in timestamp
+    /// order, so every arrival sent before that one has passed its home
+    /// node too.  An arrival *at* the mark may share its timestamp with
+    /// one still behind it, so it stays.
+    fn forget_settled(&mut self, mark: Timestamp) {
+        while self.unsettled.front().is_some_and(|&(_, ts)| ts < mark) {
+            self.unsettled.pop_front();
+        }
+    }
+
+    /// The position of arrival `seq` among the unsettled arrivals, if it
+    /// went out through this batcher and may not have settled yet.  The
+    /// last `self.arrivals` positions are the ones still pending here.
+    fn unsettled(&mut self, seq: SeqNo, mark: Timestamp) -> Option<usize> {
+        self.forget_settled(mark);
+        self.unsettled.binary_search_by_key(&seq, |&(s, _)| s).ok()
+    }
+
+    /// The expiry barrier (invariant 8) for arrival `seq`, run before its
+    /// expiry is queued on the opposite entry: if the arrival has not
+    /// settled, sends it if it is still pending here, then parks until
+    /// no frame is in flight — every arrival sent so far then rests at
+    /// its home node.
+    fn settle(
+        &mut self,
+        seq: SeqNo,
+        mark: Timestamp,
+        in_flight: &InFlight,
+        frames_injected: &mut u64,
+    ) {
+        let Some(at) = self.unsettled(seq, mark) else {
+            return;
+        };
+        if at >= self.unsettled.len() - self.arrivals {
+            self.flush(in_flight, frames_injected);
+        }
+        in_flight.wait_for_quiescence();
+        let sent = self.unsettled.len() - self.arrivals;
+        self.unsettled.drain(..sent);
     }
 
     /// Sends the pending frame (if any) and resets the assembly state.
-    pub(crate) fn flush(&mut self, in_flight: &InFlight, frames_injected: &mut u64) {
+    fn flush(&mut self, in_flight: &InFlight, frames_injected: &mut u64) {
         if self.pending.is_empty() {
             return;
         }
@@ -362,37 +482,21 @@ impl<M, R, S> EntryBatcher<M, R, S> {
         self.started_at = None;
     }
 
-    /// True if any pending message satisfies `pred`.  The drivers use
-    /// this to detect an expiry about to overtake its own still-buffered
-    /// arrival: the two travel in opposite directions on different entry
-    /// channels, so FIFO order cannot save them — only stream-time
-    /// separation can, and a partial frame parked past the window length
-    /// destroys that separation.
-    pub(crate) fn holds_pending(&self, pred: impl Fn(&M) -> bool) -> bool {
-        self.pending.iter().any(pred)
-    }
-
-    /// True if the frame has been filling for at least `interval` of
-    /// stream time.
-    pub(crate) fn is_older_than(
-        &self,
-        now: Timestamp,
-        interval: llhj_core::time::TimeDelta,
-    ) -> bool {
-        self.started_at
-            .is_some_and(|s| now.saturating_since(s) >= interval)
-    }
-
-    /// Flushes if the frame has been filling for at least `interval` of
-    /// stream time.
-    pub(crate) fn flush_if_older(
+    /// Flushes the pending frame if `policy` says it is due at stream
+    /// time `now`; `driver_idle` says whether the driver has caught up
+    /// with the schedule.
+    fn poll(
         &mut self,
+        policy: &FlushPolicy,
         now: Timestamp,
-        interval: llhj_core::time::TimeDelta,
+        driver_idle: bool,
         in_flight: &InFlight,
         frames_injected: &mut u64,
     ) {
-        if self.is_older_than(now, interval) {
+        let age = self.started_at.map(|s| now.saturating_since(s));
+        let stream_ended = self.injected == self.stream_len;
+        let idle = driver_idle && self.tx.is_empty();
+        if policy.due(self.arrivals, age, stream_ended, idle) {
             self.flush(in_flight, frames_injected);
         }
     }
@@ -409,46 +513,156 @@ impl<M, R, S> EntryBatcher<M, R, S> {
     }
 }
 
-/// The driver's entry-frame assembly state for both directions.  The fixed
-/// runtime shares it (behind a mutex) with the wall-clock flush-timer
-/// thread; the elastic driver owns it and plays the timer role itself
-/// inside its sliced pacing wait.
+/// The driver's entry-frame assembly state for both directions, owned by
+/// the driver thread of either runtime.  [`Self::inject`] runs once per
+/// driver event and [`Self::poll`] whenever the driver is idle (before
+/// each wait of its pacing loop); both apply the same [`FlushPolicy`].
 pub(crate) struct EntryState<R, S> {
     pub(crate) left: EntryBatcher<LeftToRight<R>, R, S>,
     pub(crate) right: EntryBatcher<RightToLeft<S>, R, S>,
     pub(crate) frames_injected: u64,
+    policy: FlushPolicy,
+    /// The chain's traversal-end high-water marks: which arrivals have
+    /// settled, for the expiry barrier.
+    marks: Arc<HighWaterMarks>,
 }
 
 impl<R, S> EntryState<R, S> {
     pub(crate) fn new(
         left_tx: Sender<MessageBatch<R, S>>,
         right_tx: Sender<MessageBatch<R, S>>,
+        marks: Arc<HighWaterMarks>,
+        options: &PipelineOptions,
     ) -> Self {
         EntryState {
             left: EntryBatcher::new(left_tx, MessageBatch::Left),
             right: EntryBatcher::new(right_tx, MessageBatch::Right),
             frames_injected: 0,
+            policy: FlushPolicy::new(options),
+            marks,
         }
     }
 
-    /// Flushes both directions' partial frames that have been filling for
-    /// at least `interval` of stream time.
-    pub(crate) fn flush_older_than(
+    /// Declares the streams' total arrival counts (a schedule replay knows
+    /// them), so each stream's last arrival leaves without waiting.
+    pub(crate) fn set_stream_lengths(&mut self, r: usize, s: usize) {
+        self.left.stream_len = r;
+        self.right.stream_len = s;
+    }
+
+    /// Queues one driver event and applies the flush policy to both
+    /// directions at the event's stream time.  The driver is busy here —
+    /// more events may be due — so only the cap, last-arrival and age
+    /// rules can flush; the idle-link rule waits for [`Self::poll`].
+    pub(crate) fn inject<P, H>(
         &mut self,
-        now: Timestamp,
-        interval: llhj_core::time::TimeDelta,
+        event: &DriverEvent<R, S>,
+        injector: &Injector<R, S, P, H>,
         in_flight: &InFlight,
-    ) {
+    ) where
+        R: Clone,
+        S: Clone,
+        P: JoinPredicate<R, S>,
+        H: HomePolicy,
+    {
+        match &event.event {
+            StreamEvent::ArrivalR(r) => self.left.push_arrival(
+                injector.inject_r(r.clone()),
+                r.seq,
+                r.ts,
+                event.at,
+                self.marks.r(),
+            ),
+            StreamEvent::ArrivalS(s) => self.right.push_arrival(
+                injector.inject_s(s.clone()),
+                s.seq,
+                s.ts,
+                event.at,
+                self.marks.s(),
+            ),
+            StreamEvent::ExpireS(seq) => {
+                // An expiry must never overtake its own arrival.  The two
+                // travel in opposite directions on different channels, so
+                // FIFO order cannot save them — only stream-time
+                // separation can, and a frame held back or delayed in a
+                // link past the window length destroys it.  So if the
+                // arrival has not yet settled at its home node — still
+                // pending here (a frame held back by a busy link, a
+                // sparse mesh shard's frame outwaiting the window) or
+                // still travelling — send it and let the chain settle
+                // before the expiry even enters.
+                self.right
+                    .settle(*seq, self.marks.s(), in_flight, &mut self.frames_injected);
+                self.left.push(LeftToRight::ExpiryS(*seq), event.at);
+            }
+            StreamEvent::ExpireR(seq) => {
+                self.left
+                    .settle(*seq, self.marks.r(), in_flight, &mut self.frames_injected);
+                self.right.push(RightToLeft::ExpiryR(*seq), event.at);
+            }
+        }
+        self.flush_due(event.at, false, in_flight);
+    }
+
+    /// Applies the flush policy to both directions at stream time `now`
+    /// while the driver is idle (caught up with the schedule).
+    pub(crate) fn poll(&mut self, now: Timestamp, in_flight: &InFlight) {
+        self.flush_due(now, true, in_flight);
+    }
+
+    fn flush_due(&mut self, now: Timestamp, driver_idle: bool, in_flight: &InFlight) {
+        let frames = &mut self.frames_injected;
         self.left
-            .flush_if_older(now, interval, in_flight, &mut self.frames_injected);
+            .poll(&self.policy, now, driver_idle, in_flight, frames);
         self.right
-            .flush_if_older(now, interval, in_flight, &mut self.frames_injected);
+            .poll(&self.policy, now, driver_idle, in_flight, frames);
     }
 
     /// Flushes both directions unconditionally.
     pub(crate) fn flush_both(&mut self, in_flight: &InFlight) {
         self.left.flush(in_flight, &mut self.frames_injected);
         self.right.flush(in_flight, &mut self.frames_injected);
+    }
+
+    /// Arrivals injected per stream so far.
+    pub(crate) fn arrivals(&self) -> (usize, usize) {
+        (self.left.injected, self.right.injected)
+    }
+}
+
+/// How often a paced driver's wait wakes to re-apply the flush policy:
+/// half the `flush_interval` in wall time, `None` without an interval.
+pub(crate) fn flush_slice(options: &PipelineOptions) -> Option<Duration> {
+    options
+        .flush_interval
+        .map(|interval| (options.stream_to_wall(interval) / 2).max(MIN_PACING_SLICE))
+}
+
+/// The drivers' real-time pacing wait: parks until `deadline`, running
+/// `on_slice` — the idle-driver entry flush poll, plus the autoscaler's
+/// actuation on the elastic driver — before the first park and again
+/// every `slice` (if any).  A driver that is already due never runs it.
+/// So a frame leaves on an idle link as soon as the driver has caught up,
+/// and a frame held back by a busy link, or one aging towards
+/// `flush_interval`, leaves during an arrival gap without a timer thread.
+/// The wait parks on `cancel`, so a cancel interrupts even a multi-second
+/// gap at once.  Returns `true` if the wait was cancelled.
+pub(crate) fn pace_until(
+    deadline: Instant,
+    slice: Option<Duration>,
+    cancel: &CancelToken,
+    mut on_slice: impl FnMut(),
+) -> bool {
+    loop {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        on_slice();
+        let now = Instant::now();
+        let wake = slice.map_or(deadline, |slice| deadline.min(now + slice));
+        if cancel.wait_until(wake) {
+            return true;
+        }
     }
 }
 
@@ -1347,6 +1561,281 @@ mod tests {
         assert_eq!(saturating_micros(f64::INFINITY), u64::MAX);
         assert_eq!(saturating_micros(1e300), u64::MAX);
         assert_eq!(saturating_micros(2.5), 2_500_000);
+    }
+
+    /// The whole flush decision, one row per condition: cap, last
+    /// arrival, idle link, busy link, age — and what never flushes.
+    #[test]
+    fn flush_policy_decision_table() {
+        let ms = TimeDelta::from_millis;
+        let policy = FlushPolicy {
+            cap: 64,
+            max_age: Some(ms(2)),
+        };
+        let no_age_bound = FlushPolicy {
+            cap: 64,
+            max_age: None,
+        };
+        // (label, policy, arrivals, age, stream ended, link idle, due)
+        let rows = [
+            ("empty frame", policy, 0, None, false, true, false),
+            (
+                "empty frame, stream over",
+                policy,
+                0,
+                None,
+                true,
+                true,
+                false,
+            ),
+            ("idle link", policy, 1, Some(ms(0)), false, true, true),
+            ("busy link", policy, 1, Some(ms(0)), false, false, false),
+            (
+                "busy link, filling",
+                policy,
+                63,
+                Some(ms(1)),
+                false,
+                false,
+                false,
+            ),
+            (
+                "cap on a busy link",
+                policy,
+                64,
+                Some(ms(0)),
+                false,
+                false,
+                true,
+            ),
+            (
+                "last arrival, busy link",
+                policy,
+                1,
+                Some(ms(0)),
+                true,
+                false,
+                true,
+            ),
+            (
+                "aged on a busy link",
+                policy,
+                5,
+                Some(ms(2)),
+                false,
+                false,
+                true,
+            ),
+            (
+                "aged expiries only",
+                policy,
+                0,
+                Some(ms(3)),
+                false,
+                false,
+                true,
+            ),
+            (
+                "expiries only, idle link",
+                policy,
+                0,
+                Some(ms(1)),
+                false,
+                true,
+                false,
+            ),
+            (
+                "no age bound, busy link",
+                no_age_bound,
+                5,
+                Some(ms(1_000)),
+                false,
+                false,
+                false,
+            ),
+            (
+                "no age bound, idle link",
+                no_age_bound,
+                5,
+                Some(ms(1_000)),
+                false,
+                true,
+                true,
+            ),
+        ];
+        for (label, policy, arrivals, age, ended, idle, due) in rows {
+            assert_eq!(policy.due(arrivals, age, ended, idle), due, "{label}");
+        }
+    }
+
+    fn arrival_r(seq: u64) -> DriverEvent<u32, u32> {
+        use llhj_core::tuple::{SeqNo, StreamTuple};
+        let at = Timestamp::from_millis(seq);
+        DriverEvent {
+            at,
+            event: StreamEvent::ArrivalR(StreamTuple::new(SeqNo(seq), at, 7)),
+        }
+    }
+
+    type EqPredicate = llhj_core::predicate::FnPredicate<fn(&u32, &u32) -> bool>;
+
+    fn test_injector() -> Injector<u32, u32, EqPredicate, llhj_core::homing::RoundRobin> {
+        fn eq(r: &u32, s: &u32) -> bool {
+            r == s
+        }
+        Injector::new(
+            llhj_core::predicate::FnPredicate(eq as fn(&u32, &u32) -> bool),
+            llhj_core::homing::RoundRobin,
+            1,
+        )
+    }
+
+    /// The idle signals end to end on a real entry channel: arrivals
+    /// injected back to back (the driver is busy) share a frame that
+    /// leaves once the driver polls on an idle link; the next frame is
+    /// held while the link still holds that one, and leaves once the
+    /// worker takes it.
+    #[test]
+    fn entry_frames_are_held_only_while_the_link_or_driver_is_busy() {
+        let (left_tx, left_rx) = crate::channel::bounded(16);
+        let (right_tx, _right_rx) = crate::channel::bounded(16);
+        let mut entry: EntryState<u32, u32> = EntryState::new(
+            left_tx,
+            right_tx,
+            HighWaterMarks::new(),
+            &PipelineOptions::default(),
+        );
+        entry.set_stream_lengths(4, 0);
+        let injector = test_injector();
+        let in_flight = InFlight::new();
+
+        entry.inject(&arrival_r(0), &injector, &in_flight);
+        entry.inject(&arrival_r(1), &injector, &in_flight);
+        assert_eq!(entry.frames_injected, 0, "busy driver: held back");
+        entry.poll(Timestamp::from_millis(1), &in_flight);
+        assert_eq!(entry.frames_injected, 1, "idle driver, idle link: sent");
+
+        entry.inject(&arrival_r(2), &injector, &in_flight);
+        entry.poll(Timestamp::from_millis(2), &in_flight);
+        assert_eq!(entry.frames_injected, 1, "busy link: held back");
+
+        assert_eq!(left_rx.try_recv().map(|f| f.arrivals()), Ok(2));
+        entry.poll(Timestamp::from_millis(2), &in_flight);
+        assert_eq!(entry.frames_injected, 2, "drained link releases it");
+
+        // The stream's last arrival leaves even onto a busy link.
+        entry.inject(&arrival_r(3), &injector, &in_flight);
+        assert_eq!(entry.frames_injected, 3);
+        assert_eq!(entry.arrivals(), (4, 0));
+    }
+
+    /// A catch-up burst: an arrival and its own expiry injected back to
+    /// back.  The arrival is still pending (the driver never idled), so
+    /// the expiry barrier sends it and waits until the pipeline settles
+    /// before the expiry is queued on the opposite entry.
+    #[test]
+    fn catch_up_burst_settles_an_arrival_before_its_expiry() {
+        use llhj_core::tuple::SeqNo;
+
+        let (left_tx, left_rx) = crate::channel::bounded(16);
+        let (right_tx, right_rx) = crate::channel::bounded(16);
+        let mut entry: EntryState<u32, u32> = EntryState::new(
+            left_tx,
+            right_tx,
+            HighWaterMarks::new(),
+            &PipelineOptions::default(),
+        );
+        let injector = test_injector();
+        let in_flight = Arc::new(InFlight::new());
+        // A stand-in entry worker: takes the arrival frame, then settles.
+        let worker = thread::spawn({
+            let in_flight = Arc::clone(&in_flight);
+            move || {
+                let frame = left_rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("the barrier must send the arrival");
+                in_flight.finish();
+                frame.arrivals()
+            }
+        });
+
+        entry.inject(&arrival_r(0), &injector, &in_flight);
+        let expiry = DriverEvent {
+            at: Timestamp::from_millis(5),
+            event: StreamEvent::ExpireR(SeqNo(0)),
+        };
+        entry.inject(&expiry, &injector, &in_flight);
+        assert_eq!(worker.join().unwrap(), 1, "arrival sent by the barrier");
+        assert_eq!(entry.frames_injected, 1, "the expiry rides a later frame");
+        entry.flush_both(&in_flight);
+        let expiries = right_rx.try_recv().expect("expiry frame");
+        assert!(matches!(
+            expiries,
+            MessageBatch::Right(ref msgs) if msgs == &[RightToLeft::ExpiryR(SeqNo(0))]
+        ));
+    }
+
+    /// The barrier also covers an arrival that has left the driver: sent
+    /// on an idle link, it is still travelling when its expiry comes, so
+    /// the expiry waits until the chain settles.  Once the traversal-end
+    /// mark has passed an arrival, its expiry goes straight in.
+    #[test]
+    fn an_expiry_waits_for_its_arrival_in_transit() {
+        use llhj_core::tuple::SeqNo;
+
+        let (left_tx, left_rx) = crate::channel::bounded(16);
+        let (right_tx, _right_rx) = crate::channel::bounded(16);
+        let marks = HighWaterMarks::new();
+        let mut entry: EntryState<u32, u32> = EntryState::new(
+            left_tx,
+            right_tx,
+            Arc::clone(&marks),
+            &PipelineOptions::default(),
+        );
+        let injector = test_injector();
+        let in_flight = Arc::new(InFlight::new());
+
+        entry.inject(&arrival_r(0), &injector, &in_flight);
+        entry.poll(Timestamp::from_millis(0), &in_flight);
+        assert_eq!(entry.frames_injected, 1, "sent on the idle link");
+        // A stand-in chain: takes the frame, holds it, then settles.
+        let settled = Arc::new(AtomicBool::new(false));
+        let worker = thread::spawn({
+            let in_flight = Arc::clone(&in_flight);
+            let settled = Arc::clone(&settled);
+            move || {
+                left_rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("arrival frame");
+                thread::sleep(Duration::from_millis(20));
+                settled.store(true, Ordering::SeqCst);
+                in_flight.finish();
+            }
+        });
+        let expiry = DriverEvent {
+            at: Timestamp::from_millis(5),
+            event: StreamEvent::ExpireR(SeqNo(0)),
+        };
+        entry.inject(&expiry, &injector, &in_flight);
+        assert!(
+            settled.load(Ordering::SeqCst),
+            "the expiry went in while its arrival was still travelling"
+        );
+        worker.join().unwrap();
+        assert_eq!(entry.frames_injected, 1, "nothing pending to send");
+
+        // Arrival 1 is sent; the mark reaching its timestamp is not
+        // enough (another arrival may share it), passing it is.
+        entry.inject(&arrival_r(1), &injector, &in_flight);
+        entry.poll(Timestamp::from_millis(1), &in_flight);
+        marks.observe_r(Timestamp::from_millis(1));
+        assert!(entry.left.unsettled(SeqNo(1), marks.r()).is_some());
+        marks.observe_r(Timestamp::from_millis(2));
+        assert!(entry.left.unsettled(SeqNo(1), marks.r()).is_none());
+        assert!(
+            entry.left.unsettled(SeqNo(7), marks.r()).is_none(),
+            "an arrival this chain never sent"
+        );
     }
 
     #[test]

@@ -7,24 +7,28 @@
 //! thread that assembles the result stream (optionally punctuated).
 //!
 //! The transport is *batched*: channels move [`llhj_core::MessageBatch`]
-//! frames, the driver groups `batch_size` tuples per entry frame
-//! ([`PipelineOptions::batch_size`], optionally bounded in time by
-//! [`PipelineOptions::flush_interval`]), and workers forward the complete
-//! output of each frame as one frame per direction.  `batch_size = 1`
-//! reproduces the eager per-tuple transport exactly.
+//! frames, and workers forward the complete output of each frame as one
+//! frame per direction.  The driver batches only while the entry node is
+//! busy: once the driver has caught up with the schedule, an entry frame
+//! leaves as soon as its link is empty, so a node that keeps up gets one
+//! frame per arrival, and arrivals accumulate only while it (or the
+//! driver) is behind — up to [`PipelineOptions::batch_size`], and for at
+//! most [`PipelineOptions::flush_interval`].  `batch_size = 1` reproduces
+//! the eager per-tuple transport exactly.
 //!
 //! Scheduling is *event-driven*: an idle worker parks on a per-worker
 //! [`channel::WaitSet`] registered with both of its input channels and is
 //! woken by the next frame on either input (or by shutdown) — there is no
 //! polling loop anywhere in the pipeline.  On paced runs with a
-//! `flush_interval`, a wall-clock timer thread additionally flushes
-//! partial entry frames on real time, so a stream that goes silent cannot
-//! hold results back; see [`pipeline`] for the full picture.
+//! `flush_interval`, the driver's pacing wait wakes every half interval to
+//! re-apply the flush policy, so a stream that goes silent cannot hold
+//! results back; there is no timer thread.  See [`pipeline`] for the full
+//! picture.
 //!
-//! Tuning: `batch_size` buys throughput (one channel operation per frame),
-//! `flush_interval` caps the latency that batching can add — set it near
-//! your latency budget and the batch size purely for throughput; with the
-//! timer thread the cap holds even across arrival gaps.
+//! Tuning: `batch_size` caps how much batching a busy node may absorb
+//! (one channel operation per frame), and `flush_interval` bounds how long
+//! a frame held back by a busy node may wait — set it near your latency
+//! budget.  Neither adds latency while the nodes keep up.
 //!
 //! ```no_run
 //! use llhj_core::prelude::*;

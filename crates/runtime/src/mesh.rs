@@ -41,6 +41,7 @@ use crate::channel::CancelToken;
 use crate::elastic::{
     CheckpointConfig, ElasticOutcome, ElasticPipeline, NodeFactory, ScalePipeline,
 };
+use crate::exec::{flush_slice, pace_until};
 use crate::options::PipelineOptions;
 use llhj_core::checkpoint::{
     load_latest_mesh, ChainCheckpointer, CheckpointError, CheckpointPayload, CheckpointStore,
@@ -188,10 +189,11 @@ where
         &self.reshard_log
     }
 
-    /// Real-time pacing before injecting an event scheduled at `at`; a
-    /// plain cancellable wait (the mesh driver has no flush-slicing or
-    /// controller).  Returns `true` if the wait was cancelled.
-    fn pace(&self, at: Timestamp, cancel: &CancelToken) -> bool {
+    /// Real-time pacing before injecting an event scheduled at `at`: the
+    /// drivers' shared sliced wait, applying every chain's idle-driver
+    /// flush policy before each park.  Returns `true` if the wait was
+    /// cancelled.
+    fn pace(&mut self, at: Timestamp, cancel: &CancelToken) -> bool {
         let target = self
             .options
             .stream_to_wall(at.saturating_since(Timestamp::ZERO));
@@ -199,10 +201,19 @@ where
             return cancel.is_cancelled();
         }
         let deadline = self.started + target;
-        if Instant::now() < deadline {
-            return cancel.wait_until(deadline);
+        pace_until(deadline, flush_slice(&self.options), cancel, || {
+            for chain in &mut self.chains {
+                chain.poll_entry();
+            }
+        })
+    }
+
+    /// Routes one driver event to its chain(s).
+    fn inject(&mut self, event: &DriverEvent<R, S>) {
+        let route = self.router.route(&event.event);
+        for shard in route.targets(self.chains.len()) {
+            self.chains[shard].inject_routed(event);
         }
-        cancel.is_cancelled()
     }
 
     /// Makes every window migration (chain resize or shard reshape) stall
@@ -343,10 +354,7 @@ where
                 self.cancelled = true;
                 break;
             }
-            let route = self.router.route(&event.event);
-            for shard in route.targets(self.chains.len()) {
-                self.chains[shard].inject_routed(event);
-            }
+            self.inject(event);
         }
         if !self.cancelled {
             // Trailing steps (at or past the schedule end) still run,
@@ -440,10 +448,7 @@ where
                 break;
             }
             log.record(event.clone());
-            let route = self.router.route(&event.event);
-            for shard in route.targets(self.chains.len()) {
-                self.chains[shard].inject_routed(event);
-            }
+            self.inject(event);
             let consumed = idx + 1;
             if consumed.is_multiple_of(cfg.every_events) {
                 // The driver is single-threaded, so no event lands between
@@ -486,10 +491,7 @@ where
                 self.cancelled = true;
                 break;
             }
-            let route = self.router.route(&event.event);
-            for shard in route.targets(self.chains.len()) {
-                self.chains[shard].inject_routed(event);
-            }
+            self.inject(event);
         }
     }
 }
@@ -648,9 +650,8 @@ mod tests {
 
     fn opts() -> PipelineOptions {
         // Real-time pacing, like every conformance test in the repo:
-        // unpaced replays let expiry messages overtake tuples that are
-        // still travelling (see [`Pacing::Unpaced`]), so exact window
-        // semantics require the paced driver.
+        // exact window semantics are asserted for the paced driver only
+        // (see [`Pacing::Unpaced`]).
         PipelineOptions {
             batch_size: 4,
             punctuate: true,

@@ -6,12 +6,14 @@ use std::time::Duration;
 /// How the driver paces the replay of a schedule against the wall clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pacing {
-    /// Inject events as fast as the pipeline accepts them.  This is a
-    /// stress/throughput mode: because stream time then advances much
-    /// faster than processing time, expiry messages can overtake tuples
-    /// that are still travelling, so the produced result set may differ
-    /// slightly from the window semantics of a real-time run.  Use
-    /// [`Pacing::RealTime`] whenever exact window semantics matter.
+    /// Inject events as fast as the pipeline accepts them: a
+    /// stress/throughput mode.  Stream time then advances much faster than
+    /// processing time, so an expiry is often due while its own arrival is
+    /// still travelling; the driver's expiry barrier then drains the
+    /// pipeline before the expiry enters, so throughput in this mode
+    /// depends on the window length.  No test asserts exact window
+    /// semantics in this mode yet; use [`Pacing::RealTime`] whenever they
+    /// matter.
     Unpaced,
     /// Replay the schedule in (scaled) real time: one second of stream time
     /// takes `1 / speedup` seconds of wall-clock time.  Latencies are
@@ -46,28 +48,37 @@ pub enum Transport {
 ///
 /// The runtime moves [`llhj_core::message::MessageBatch`] frames between
 /// workers, so message granularity is a configuration property rather than
-/// a structural one:
+/// a structural one.  The driver batches only while the entry node (or
+/// the driver itself) is busy: a pending entry frame is sent as soon as it
+/// holds an arrival, its entry link is empty (the entry worker has taken
+/// every frame sent so far) and the driver has caught up with the
+/// schedule.  A node that keeps up under a punctual paced driver
+/// therefore sees one frame per arrival and pays no batching delay; while
+/// it is behind, arrivals accumulate and one channel operation and wake-up
+/// is amortised over the whole frame.  An unpaced driver is always behind,
+/// so its frames fill to the cap.
 ///
-/// * [`batch_size`](Self::batch_size) — how many tuple arrivals the driver
-///   groups into one entry frame.  `1` reproduces the per-tuple transport
-///   of the paper's low-latency configuration exactly (every message is its
-///   own frame); larger values amortise channel and wake-up overhead over
-///   the whole frame at the price of up to `batch_size / rate` of added
-///   latency, which is the trade-off Figure 20 of the paper varies.
+/// * [`batch_size`](Self::batch_size) — the *cap* on tuple arrivals per
+///   entry frame: a frame that reaches it is sent even onto a busy link.
+///   `1` reproduces the per-tuple transport of the paper's low-latency
+///   configuration exactly (every message is its own frame).
 /// * [`flush_interval`](Self::flush_interval) — optional stream-time bound
-///   on how long a partial entry batch may wait for more tuples.  `None`
-///   (the default) keeps the seed semantics: partial batches flush only
-///   when the stream ends.  `Some(d)` caps the batching delay at `d`, so a
-///   trickling stream still achieves low latency under a large
-///   `batch_size`.
+///   on how long a held-back frame may wait.  `None` (the default) lets
+///   it wait until the link drains and the driver observes that — before
+///   it next waits for an event — or until the cap or the end of the
+///   stream.  `Some(d)` also sends any frame once it has been filling for
+///   `d`; on a paced run the driver's pacing wait wakes every `d / 2` to
+///   check, so the bound (and the idle-link rule) holds across arrival
+///   gaps without a timer thread.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
     /// Pacing mode.
     pub pacing: Pacing,
-    /// Driver batch size in tuples (64 in the paper's setup).
+    /// Cap on the tuple arrivals of one entry frame (64 in the paper's
+    /// setup); frames fill toward it only while the entry node is busy.
     pub batch_size: usize,
-    /// Maximum stream time a partial entry batch may wait before it is
-    /// flushed regardless of its size.  `None` disables the timer.
+    /// Maximum stream time an entry frame held back by a busy link may
+    /// wait before it is sent regardless.  `None` disables the age bound.
     pub flush_interval: Option<TimeDelta>,
     /// Capacity of the bounded FIFO channels between neighbouring workers,
     /// in frames.

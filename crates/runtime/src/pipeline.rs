@@ -9,22 +9,25 @@
 //! paper).
 //!
 //! The links carry [`MessageBatch`] *frames* rather than individual
-//! messages: the driver groups `batch_size` tuples into one entry frame,
-//! and every worker drains the complete output of one frame into one
-//! outgoing frame per direction.  One channel operation (lock, wake-up) is
-//! thus amortised over the whole run of messages — the granularity
-//! trade-off of the paper's Section 2 made configurable.  A `batch_size`
-//! of 1 degenerates to one message per frame and reproduces the eager
-//! per-tuple transport exactly, FIFO order and quiescence protocol
-//! included.
+//! messages: the driver sends an entry frame as soon as the entry node
+//! has taken the previous one and the driver has caught up with the
+//! schedule, so arrivals accumulate — up to `batch_size` of them — only
+//! while that node (or the driver) is busy, and every worker
+//! drains the complete output of one frame into one outgoing frame per
+//! direction.  One channel operation (lock, wake-up) is thus amortised
+//! over the whole run of messages exactly when the node is behind — the
+//! granularity trade-off of the paper's Section 2, paid only under load.
+//! A `batch_size` of 1 degenerates to one message per frame and
+//! reproduces the eager per-tuple transport exactly, FIFO order and
+//! quiescence protocol included.
 //!
-//! The worker threads, entry batching and collector are the *shared*
-//! execution machinery of the crate-private `exec` module — the same code the elastic
-//! pipeline deploys.  A fixed pipeline is an elastic pipeline that never
-//! receives a scale command, so the two paths cannot drift (the ROADMAP
-//! debt PR 4 paid down).  What stays here is only the fixed deployment:
-//! channel wiring for a construction-time node count, the schedule replay
-//! driver, and the wall-clock flush-timer thread.
+//! The worker threads, entry batching, pacing wait and collector are the
+//! *shared* execution machinery of the crate-private `exec` module — the
+//! same code the elastic pipeline deploys.  A fixed pipeline is an
+//! elastic pipeline that never receives a scale command, so the two
+//! paths cannot drift.  What stays here is only the fixed deployment:
+//! channel wiring for a construction-time node count and the schedule
+//! replay loop.
 //!
 //! The workers execute exactly the same node state machines as the
 //! discrete-event simulator, so the produced result *set* is identical; the
@@ -34,11 +37,11 @@
 
 use crate::channel::{bounded, spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
 use crate::exec::{
-    spawn_collector, CollectorConfig, CoreMap, EntryState, InFlight, StreamClock, Worker,
-    WorkerShared, WorkerWiring,
+    flush_slice, pace_until, spawn_collector, CollectorConfig, CoreMap, EntryState, InFlight,
+    StreamClock, Worker, WorkerShared, WorkerWiring,
 };
 use crate::options::{Pacing, PipelineOptions, Transport};
-use llhj_core::driver::{DriverSchedule, Injector, StreamEvent};
+use llhj_core::driver::{DriverSchedule, Injector};
 use llhj_core::homing::HomePolicy;
 use llhj_core::message::MessageBatch;
 use llhj_core::node::PipelineNode;
@@ -49,8 +52,7 @@ use llhj_core::stats::{LatencyPoint, LatencySummary, NodeCounters};
 use llhj_core::time::Timestamp;
 use llhj_core::tuple::SeqNo;
 use llhj_sync::sync::atomic::{AtomicBool, Ordering};
-use llhj_sync::sync::{Arc, Mutex};
-use llhj_sync::thread;
+use llhj_sync::sync::Arc;
 use llhj_sync::time::{Duration, Instant};
 
 /// Everything measured during one threaded run.
@@ -326,76 +328,17 @@ where
         map.pin_current(n + 1);
     }
 
-    // Entry-frame assembly state, shared between the driver and the flush
-    // timer thread.
-    let entry = {
-        let mut state = EntryState::new(driver_left_tx, driver_right_tx);
-        state.left.set_recycle(recycle_ltr_rx);
-        state.right.set_recycle(recycle_rtl_rx);
-        Arc::new(Mutex::new(state))
-    };
-    let timer_stop = WaitSet::new();
-
-    // ---------------- flush timer ----------------
-    // The driver's own timer check below only runs when it observes the
-    // next schedule event — useless on a stream that goes silent, where
-    // a partial frame would wait indefinitely.  A dedicated wall-clock
-    // timer thread bounds that wait in real time: every half interval
-    // it flushes any entry frame older than `flush_interval` of stream
-    // time, regardless of schedule progress.  Only paced runs need it
-    // (an unpaced driver never waits between events).
-    let timer_handle = match (options.pacing, options.flush_interval) {
-        (Pacing::RealTime { .. }, Some(interval)) => {
-            let entry = Arc::clone(&entry);
-            let in_flight = Arc::clone(&in_flight);
-            let clock = Arc::clone(&clock);
-            let timer_stop = timer_stop.clone();
-            let period = (options.stream_to_wall(interval) / 2).max(Duration::from_micros(50));
-            Some(thread::spawn(move || {
-                // The driver notifies `timer_stop` exactly once, at
-                // shutdown.  Snapshot the epoch *before* the loop: a
-                // notify that lands while we are flushing (outside
-                // `wait`) still differs from this snapshot, so the next
-                // wait returns immediately instead of the bump being
-                // absorbed by a per-iteration re-snapshot — which would
-                // leave this thread looping forever and the driver
-                // hanging in `join`.
-                let seen = timer_stop.epoch();
-                loop {
-                    if timer_stop.wait(seen, period) {
-                        // Epoch moved: shutdown.
-                        return;
-                    }
-                    let now = clock.now();
-                    entry
-                        .lock()
-                        .expect("entry state poisoned")
-                        .flush_older_than(now, interval, &in_flight);
-                }
-            }))
-        }
-        _ => None,
-    };
-
     // ---------------- driver (this thread) ----------------
-    // The driver assembles the two entry frames; a frame is flushed when
-    // it holds `batch_size` arrivals, when its stream has delivered its
-    // last arrival (so the tail pays the normal batching delay rather
-    // than waiting for trailing expiry events), or when the
-    // `flush_interval` has elapsed since the frame started filling —
-    // observed either here (on the next event) or by the timer thread
-    // (in wall time, even if no event ever comes).
-    // The pacing wait parks on the cancel token (a plain WaitSet wait
-    // when no token is configured) instead of `thread::sleep`, so an
-    // external cancel interrupts even a multi-second gap between
-    // schedule events immediately (ROADMAP open item).
-    let frames_injected;
+    // The driver owns the entry-frame assembly state: every event and
+    // every park of the pacing wait applies the shared flush policy (see
+    // `exec::FlushPolicy`), so no timer thread and no lock is needed.
+    let mut entry = EntryState::new(driver_left_tx, driver_right_tx, Arc::clone(&hwm), options);
+    entry.left.set_recycle(recycle_ltr_rx);
+    entry.right.set_recycle(recycle_rtl_rx);
+    entry.set_stream_lengths(schedule.r_count(), schedule.s_count());
+    let slice = flush_slice(options);
     let mut idle_wakeups = 0u64;
     let mut cancelled = false;
-    // Arrivals actually handed to the pipeline: equal to the schedule's
-    // counts unless the run is cancelled mid-replay.
-    let mut seen_r = 0usize;
-    let mut seen_s = 0usize;
     let cancel = options.cancel.clone().unwrap_or_default();
     for event in schedule.events() {
         if cancel.is_cancelled() {
@@ -403,83 +346,21 @@ where
             break;
         }
         if let Pacing::RealTime { .. } = options.pacing {
-            let target = options.stream_to_wall(event.at.saturating_since(Timestamp::ZERO));
-            let elapsed = started.elapsed();
-            if target > elapsed && cancel.wait_until(started + target) {
+            let deadline =
+                started + options.stream_to_wall(event.at.saturating_since(Timestamp::ZERO));
+            if pace_until(deadline, slice, &cancel, || {
+                entry.poll(clock.now(), &in_flight)
+            }) {
                 cancelled = true;
                 break;
             }
         }
         clock.note_injection(event.at);
-
-        let mut state = entry.lock().expect("entry state poisoned");
-        let state = &mut *state;
-        // Timer flush: a partial frame must not outwait the interval.
-        if let Some(interval) = options.flush_interval {
-            state.flush_older_than(event.at, interval, &in_flight);
-        }
-
-        match &event.event {
-            StreamEvent::ArrivalR(r) => {
-                state
-                    .left
-                    .push_arrival(injector.inject_r(r.clone()), event.at);
-                seen_r += 1;
-                if state.left.arrivals >= options.batch_size || seen_r == schedule.r_count() {
-                    state.left.flush(&in_flight, &mut state.frames_injected);
-                }
-            }
-            StreamEvent::ExpireS(seq) => {
-                // An expiry must never overtake its own arrival still
-                // parked in the opposite entry buffer (see the elastic
-                // driver's `inject` for the full argument).
-                if state.right.holds_pending(
-                    |m| matches!(m, llhj_core::message::RightToLeft::ArrivalS(t) if t.tuple.seq == *seq),
-                ) {
-                    state.right.flush(&in_flight, &mut state.frames_injected);
-                    // Workers never take the entry lock, so waiting here
-                    // (with it held) cannot deadlock; the timer thread
-                    // simply blocks on the lock until the wait returns.
-                    in_flight.wait_for_quiescence();
-                }
-                state
-                    .left
-                    .push(llhj_core::message::LeftToRight::ExpiryS(*seq), event.at)
-            }
-            StreamEvent::ArrivalS(s) => {
-                state
-                    .right
-                    .push_arrival(injector.inject_s(s.clone()), event.at);
-                seen_s += 1;
-                if state.right.arrivals >= options.batch_size || seen_s == schedule.s_count() {
-                    state.right.flush(&in_flight, &mut state.frames_injected);
-                }
-            }
-            StreamEvent::ExpireR(seq) => {
-                if state.left.holds_pending(
-                    |m| matches!(m, llhj_core::message::LeftToRight::ArrivalR(t) if t.tuple.seq == *seq),
-                ) {
-                    state.left.flush(&in_flight, &mut state.frames_injected);
-                    in_flight.wait_for_quiescence();
-                }
-                state
-                    .right
-                    .push(llhj_core::message::RightToLeft::ExpiryR(*seq), event.at)
-            }
-        }
+        entry.inject(event, &injector, &in_flight);
     }
     // Tail flush: whatever is still pending (trailing expiries).
-    let mut batch_allocs;
-    {
-        let mut state = entry.lock().expect("entry state poisoned");
-        state.flush_both(&in_flight);
-        frames_injected = state.frames_injected;
-        batch_allocs = state.left.fresh_allocs + state.right.fresh_allocs;
-    }
-    timer_stop.notify();
-    if let Some(handle) = timer_handle {
-        handle.join().expect("timer thread panicked");
-    }
+    entry.flush_both(&in_flight);
+    let mut batch_allocs = entry.left.fresh_allocs + entry.right.fresh_allocs;
 
     // Wait for quiescence: no frame anywhere in the pipeline.
     in_flight.wait_for_quiescence();
@@ -511,8 +392,8 @@ where
         latency_series: collected.series.finish(),
         elapsed: started.elapsed(),
         punctuation_count: collected.punctuation_count,
-        arrivals_per_stream: (seen_r, seen_s),
-        frames_injected,
+        arrivals_per_stream: entry.arrivals(),
+        frames_injected: entry.frames_injected,
         batch_allocs,
         idle_wakeups,
         cancelled,
@@ -525,9 +406,12 @@ mod tests {
     use crate::llhj_nodes;
     use llhj_core::driver::DriverSchedule;
     use llhj_core::homing::RoundRobin;
+    use llhj_core::message::{LeftToRight, NodeOutput, RightToLeft};
     use llhj_core::predicate::FnPredicate;
+    use llhj_core::result::ResultTuple;
     use llhj_core::time::TimeDelta;
     use llhj_core::window::WindowSpec;
+    use llhj_sync::thread;
 
     #[test]
     #[should_panic(expected = "invalid PipelineOptions")]
@@ -614,15 +498,84 @@ mod tests {
         assert_eq!(outcome.arrivals_per_stream, (1, 1));
     }
 
-    /// The reason the wall-clock timer thread exists: a stream that goes
-    /// silent mid-run must not hold a partial entry frame until the driver
-    /// happens to observe the next schedule event.
+    type Out = NodeOutput<u32, u32, ResultTuple<u32, u32>>;
+
+    /// Node 0 behind a wrapper that sleeps on every left (entry) frame,
+    /// keeping the driver's left entry link busy.
+    struct SlowEntry {
+        inner: Box<dyn PipelineNode<u32, u32>>,
+        per_frame: Duration,
+    }
+
+    impl PipelineNode<u32, u32> for SlowEntry {
+        fn handle_left(&mut self, msg: LeftToRight<u32>, out: &mut Out) {
+            self.inner.handle_left(msg, out);
+        }
+
+        fn handle_right(&mut self, msg: RightToLeft<u32>, out: &mut Out) {
+            self.inner.handle_right(msg, out);
+        }
+
+        fn handle_left_batch(&mut self, msgs: &mut Vec<LeftToRight<u32>>, out: &mut Out) {
+            thread::sleep(self.per_frame);
+            self.inner.handle_left_batch(msgs, out);
+        }
+
+        fn handle_right_batch(&mut self, msgs: &mut Vec<RightToLeft<u32>>, out: &mut Out) {
+            self.inner.handle_right_batch(msgs, out);
+        }
+
+        fn node_id(&self) -> usize {
+            self.inner.node_id()
+        }
+
+        fn node_counters(&self) -> NodeCounters {
+            self.inner.node_counters()
+        }
+
+        fn resident_tuples(&self) -> usize {
+            self.inner.resident_tuples()
+        }
+
+        fn observe_time(&mut self, now: Timestamp) {
+            self.inner.observe_time(now);
+        }
+    }
+
+    /// The reason the wall-clock timer thread once existed: a stream that
+    /// goes silent mid-run must not hold a partial entry frame until the
+    /// driver happens to observe the next schedule event.  With no timer
+    /// thread, the sliced pacing wait is what releases it.
     #[test]
     fn flush_timer_bounds_latency_across_a_silent_gap() {
         let pred = FnPredicate(|r: &u32, s: &u32| r == s);
+        let opts = PipelineOptions {
+            // A batch far larger than the pre-gap tuple count: a frame
+            // that waited to fill would stay partial for the whole gap.
+            batch_size: 64,
+            flush_interval: Some(TimeDelta::from_millis(10)),
+            pacing: Pacing::RealTime { speedup: 1.0 },
+            ..Default::default()
+        };
+        let assert_prompt = |outcome: &RunOutcome<u32, u32>, pairs: u64| {
+            for seq in 0..pairs {
+                let key = (llhj_core::tuple::SeqNo(seq), llhj_core::tuple::SeqNo(seq));
+                let result = outcome
+                    .results
+                    .iter()
+                    .find(|t| t.result.key() == key)
+                    .unwrap_or_else(|| panic!("the pre-gap pair {key:?} must be found"));
+                let latency = result.latency();
+                assert!(
+                    latency < TimeDelta::from_millis(200),
+                    "pre-gap result {key:?} waited {latency} — the pacing \
+                     slices should have released its frame during the gap"
+                );
+            }
+        };
+
         // One matching pair right at the start, then ~700 ms of silence
-        // before the streams resume.  The driver sleeps through the gap,
-        // so only the timer thread can release the first frame.
+        // before the streams resume.  The driver waits through the gap.
         let mk = |v: u32| {
             vec![
                 (Timestamp::from_millis(1), v),
@@ -636,31 +589,46 @@ mod tests {
             WindowSpec::time_secs(2),
             WindowSpec::time_secs(2),
         );
-        let opts = PipelineOptions {
-            // A batch far larger than the pre-gap tuple count: without the
-            // timer the first frame stays partial for the whole gap.
-            batch_size: 64,
-            flush_interval: Some(TimeDelta::from_millis(10)),
-            pacing: Pacing::RealTime { speedup: 1.0 },
-            ..Default::default()
-        };
         let outcome = run_pipeline(
             llhj_nodes(2, pred.clone()),
-            pred,
+            pred.clone(),
             RoundRobin,
             &schedule,
             &opts,
         );
-        let first = outcome
-            .results
-            .iter()
-            .find(|t| t.result.key() == (llhj_core::tuple::SeqNo(0), llhj_core::tuple::SeqNo(0)))
-            .expect("the pre-gap pair must be found");
-        let latency = first.latency();
-        assert!(
-            latency < TimeDelta::from_millis(200),
-            "pre-gap result waited {latency} — the wall-clock flush timer \
-             should have bounded it near the 10 ms interval"
+        assert_prompt(&outcome, 1);
+
+        // A frame held back by a busy link right before the gap.  Node 0
+        // takes 20 ms per entry frame: the first arrival leaves on the
+        // idle link, the second waits in the link, and the third is held
+        // back in the driver when the gap begins.  Three entry frames in
+        // a row put the honest latency near 60 ms; a frame held until the
+        // streams resume would show up at ~700 ms.
+        let mk = |v: u32| {
+            vec![
+                (Timestamp::from_millis(1), v),
+                (Timestamp::from_millis(2), v + 1),
+                (Timestamp::from_millis(3), v + 2),
+                (Timestamp::from_millis(700), v + 1_000),
+                (Timestamp::from_millis(710), v + 2_000),
+            ]
+        };
+        let schedule = DriverSchedule::build(
+            mk(7),
+            mk(7),
+            WindowSpec::time_secs(2),
+            WindowSpec::time_secs(2),
         );
+        let mut nodes = llhj_nodes(2, pred.clone());
+        let inner = nodes.remove(0);
+        nodes.insert(
+            0,
+            Box::new(SlowEntry {
+                inner,
+                per_frame: Duration::from_millis(20),
+            }),
+        );
+        let outcome = run_pipeline(nodes, pred, RoundRobin, &schedule, &opts);
+        assert_prompt(&outcome, 3);
     }
 }

@@ -2,19 +2,109 @@
 //! runtime must produce exactly the result set of the per-tuple simulator
 //! and of the nested-loop oracle.
 //!
-//! This is the acceptance test of the batched-transport refactor: the
-//! driver groups `batch_size` tuples per entry frame and every worker
-//! forwards whole frames.  Low-latency handshake join pairs each expiry
-//! stream with the same-direction entry point, so per-direction FIFO order
-//! protects same-boundary pairs at any batch size; exactness across
-//! *directions* additionally requires the batching delay (batch fill time,
-//! boundable via `flush_interval`) to stay below the window overlap of the
-//! closest pair — amply true for every granularity swept here, and
-//! deliberately violated in `flush_interval_bounds_the_batching_delay`'s
-//! degenerate whole-stream frame.
+//! This is the acceptance test of the batched-transport refactor: once
+//! caught up with the schedule, the driver sends an entry frame whenever
+//! the entry node has taken the previous one, lets arrivals accumulate (up
+//! to `batch_size`) only while it has not, and every worker forwards whole
+//! frames.  Low-latency
+//! handshake join pairs each expiry stream with the same-direction entry
+//! point, so per-direction FIFO order protects same-boundary pairs at any
+//! batch size; exactness across *directions* additionally requires the
+//! batching delay (how long a frame is held back, boundable via
+//! `flush_interval`) to stay below the window overlap of the closest pair
+//! — amply true for every granularity swept here, and deliberately
+//! violated by the stalled entry node in
+//! `flush_interval_bounds_the_batching_delay`'s giant-frame run.
 
 use handshake_join::baselines::run_kang;
 use handshake_join::prelude::*;
+use llhj_core::message::{LeftToRight, NodeOutput, RightToLeft};
+use llhj_core::result::ResultTuple;
+use llhj_core::stats::NodeCounters;
+use llhj_sync::sync::{Arc, Mutex};
+use llhj_sync::time::Duration;
+
+type Out = NodeOutput<RTuple, STuple, ResultTuple<RTuple, STuple>>;
+
+/// A node behind a wrapper that sleeps on every frame it takes, so its
+/// entry links stay busy and the driver has to hold arrivals back.
+/// Records the arrival count of every left (R) frame; the left frame with
+/// index `stall.0` additionally sleeps `stall.1`.
+struct SlowNode {
+    inner: Box<dyn PipelineNode<RTuple, STuple>>,
+    per_frame: Duration,
+    stall: Option<(usize, Duration)>,
+    left_frames: Arc<Mutex<Vec<usize>>>,
+}
+
+impl PipelineNode<RTuple, STuple> for SlowNode {
+    fn handle_left(&mut self, msg: LeftToRight<RTuple>, out: &mut Out) {
+        self.inner.handle_left(msg, out);
+    }
+
+    fn handle_right(&mut self, msg: RightToLeft<STuple>, out: &mut Out) {
+        self.inner.handle_right(msg, out);
+    }
+
+    fn handle_left_batch(&mut self, msgs: &mut Vec<LeftToRight<RTuple>>, out: &mut Out) {
+        let arrivals = msgs.iter().filter(|m| m.is_arrival()).count();
+        let index = {
+            let mut frames = self.left_frames.lock().unwrap();
+            frames.push(arrivals);
+            frames.len() - 1
+        };
+        let stall = match self.stall {
+            Some((at, stall)) if at == index => stall,
+            _ => Duration::ZERO,
+        };
+        llhj_sync::thread::sleep(self.per_frame + stall);
+        self.inner.handle_left_batch(msgs, out);
+    }
+
+    fn handle_right_batch(&mut self, msgs: &mut Vec<RightToLeft<STuple>>, out: &mut Out) {
+        llhj_sync::thread::sleep(self.per_frame);
+        self.inner.handle_right_batch(msgs, out);
+    }
+
+    fn node_id(&self) -> usize {
+        self.inner.node_id()
+    }
+
+    fn node_counters(&self) -> NodeCounters {
+        self.inner.node_counters()
+    }
+
+    fn resident_tuples(&self) -> usize {
+        self.inner.resident_tuples()
+    }
+
+    fn observe_time(&mut self, now: Timestamp) {
+        self.inner.observe_time(now);
+    }
+}
+
+/// Runs a single slowed-down LLHJ node over `schedule` — both entry links
+/// end at it, and no inner link can back up — and returns the outcome
+/// plus the arrival count of every left entry frame.
+fn run_with_slow_node(
+    schedule: &llhj_core::DriverSchedule<RTuple, STuple>,
+    options: &PipelineOptions,
+    per_frame: Duration,
+    stall: Option<(usize, Duration)>,
+) -> (RunOutcome<RTuple, STuple>, Vec<usize>) {
+    let pred = BandPredicate::default();
+    let left_frames = Arc::new(Mutex::new(Vec::new()));
+    let inner = llhj_nodes(1, pred).remove(0);
+    let node = SlowNode {
+        inner,
+        per_frame,
+        stall,
+        left_frames: Arc::clone(&left_frames),
+    };
+    let outcome = run_pipeline(vec![Box::new(node)], pred, RoundRobin, schedule, options);
+    let frames = left_frames.lock().unwrap().clone();
+    (outcome, frames)
+}
 
 fn band_schedule() -> llhj_core::DriverSchedule<RTuple, STuple> {
     let workload = BandJoinWorkload::scaled(150.0, TimeDelta::from_secs(8), 350, 0xBA7C);
@@ -103,59 +193,122 @@ fn batch_size_one_reproduces_per_tuple_frame_counts() {
 
 #[test]
 fn flush_interval_bounds_the_batching_delay() {
-    // A huge batch with a flush interval behaves like the interval, not
-    // like the batch: frames keep flowing and the result set stays exact.
+    // `batch_size` is a cap and `flush_interval` the bound on a frame held
+    // back by a busy entry link: a node that keeps up gets one frame per
+    // arrival (see `light_load_sends_about_one_frame_per_arrival`), so
+    // every property here needs a slowed-down node.  The band schedule
+    // replays 150 tuples/s per stream; at speedup 8 that is 1.2 per
+    // wall-clock ms.
     let schedule = band_schedule();
     let pred = BandPredicate::default();
     let oracle_keys = run_kang(pred, &schedule).result_keys();
-
-    let unbounded_wait = PipelineOptions {
-        batch_size: 100_000,
-        flush_interval: None,
+    let paced = |batch_size: usize, flush_interval: Option<TimeDelta>| PipelineOptions {
+        batch_size,
+        flush_interval,
         pacing: Pacing::RealTime { speedup: 8.0 },
         ..Default::default()
     };
-    let capped = PipelineOptions {
-        batch_size: 100_000,
-        flush_interval: Some(TimeDelta::from_millis(100)),
-        pacing: Pacing::RealTime { speedup: 8.0 },
-        ..Default::default()
-    };
-    let waited = run_pipeline(
-        llhj_nodes(2, pred),
-        pred,
-        RoundRobin,
-        &schedule,
-        &unbounded_wait,
-    );
-    let flowed = run_pipeline(llhj_nodes(2, pred), pred, RoundRobin, &schedule, &capped);
 
-    // Without the timer the driver batches almost the whole stream into a
-    // handful of giant frames — the only extra flushes are the expiry
-    // barrier's (an expiry whose own arrival is still parked in the
-    // opposite buffer flushes it first, roughly once per window length),
-    // which keeps even this degenerate configuration *sound*: arrivals
-    // delayed past other tuples' expiries can still lose matches, but no
-    // tuple outlives its own expiry, so nothing spurious appears.
+    // 1. Under backlog frames fill toward the cap.  The node takes 2 ms
+    //    per frame and alternates between its two entry links, so about
+    //    five arrivals accumulate behind each frame waiting in a link;
+    //    the cap of 8 is never exceeded.
+    let (backlog, frames) =
+        run_with_slow_node(&schedule, &paced(8, None), Duration::from_millis(2), None);
+    let arrivals: usize = frames.iter().sum();
+    let mean_fill = arrivals as f64 / frames.len() as f64;
+    assert_eq!(arrivals, backlog.arrivals_per_stream.0);
     assert!(
-        waited.frames_injected <= 12,
-        "expected the stream in a handful of giant frames, got {}",
-        waited.frames_injected
+        mean_fill >= 3.0,
+        "a busy entry node must see filled frames, got {mean_fill:.2} arrivals per frame"
     );
-    let waited_keys = waited.result_keys();
-    for key in &waited_keys {
+    assert!(
+        frames.iter().all(|&f| f <= 8),
+        "batch_size caps every frame: {frames:?}"
+    );
+    assert_eq!(backlog.result_keys(), oracle_keys, "backlogged run");
+
+    // 2. `flush_interval` bounds how long a held-back frame waits.  The
+    //    node stalls for 150 ms (1.2 s of stream time) on one entry
+    //    frame; the frame held back behind it still leaves every 100 ms
+    //    of stream time, about 15 arrivals.  The assertion leaves room
+    //    for a descheduled driver but stays far below the stall's 180.
+    let (capped, frames) = run_with_slow_node(
+        &schedule,
+        &paced(100_000, Some(TimeDelta::from_millis(100))),
+        Duration::ZERO,
+        Some((20, Duration::from_millis(150))),
+    );
+    let largest = frames.iter().copied().max().unwrap_or(0);
+    assert!(
+        largest <= 90,
+        "flush_interval must bound a held-back frame, largest held {largest} arrivals"
+    );
+    assert_eq!(capped.result_keys(), oracle_keys, "age-bounded run");
+
+    // 3. Giant frames stay sound.  Without the age bound a 500 ms stall
+    //    (4 s of stream time, longer than the 3 s window) builds one
+    //    giant held-back frame.  Its oldest arrivals expire while still
+    //    parked in the driver; the expiry barrier (invariant 8) flushes
+    //    the frame and waits for it to settle before the expiry enters.
+    //    Arrivals delayed past other tuples' expiries can lose matches,
+    //    but no tuple outlives its own expiry, so nothing spurious
+    //    appears.
+    let (waited, frames) = run_with_slow_node(
+        &schedule,
+        &paced(100_000, None),
+        Duration::ZERO,
+        Some((20, Duration::from_millis(500))),
+    );
+    let largest = frames.iter().copied().max().unwrap_or(0);
+    assert!(
+        largest >= 200,
+        "a stalled entry node must leave a giant held-back frame, largest {largest}"
+    );
+    for key in &waited.result_keys() {
         assert!(
             oracle_keys.contains(key),
             "giant frames produced a spurious result {key:?}"
         );
     }
+}
 
-    // With the timer the driver emits a frame at least every 100 ms of
-    // stream time, and windowing stays exact.
-    assert_eq!(flowed.result_keys(), oracle_keys);
+#[test]
+fn light_load_sends_about_one_frame_per_arrival() {
+    // A paced batch-64 run whose nodes keep up: the entry link is idle at
+    // almost every arrival, so frames carry about one arrival each and no
+    // result waits for a frame to fill or age out.
+    let schedule = band_schedule();
+    let pred = BandPredicate::default();
+    // Under the old fill-to-`batch_size` rule every frame would wait out
+    // this interval (64 arrivals take 427 ms of stream time here), for a
+    // median latency near half of it.
+    let flush_interval = TimeDelta::from_millis(400);
+    let opts = PipelineOptions {
+        batch_size: 64,
+        flush_interval: Some(flush_interval),
+        pacing: Pacing::RealTime { speedup: 4.0 },
+        ..Default::default()
+    };
+    let outcome = run_pipeline(llhj_nodes(2, pred), pred, RoundRobin, &schedule, &opts);
+    assert_eq!(
+        outcome.result_keys(),
+        run_kang(pred, &schedule).result_keys()
+    );
+
+    let arrivals = (outcome.arrivals_per_stream.0 + outcome.arrivals_per_stream.1) as u64;
     assert!(
-        flowed.frames_injected > 20,
-        "flush interval must keep frames flowing, got {}",
-        flowed.frames_injected
+        outcome.frames_injected * 2 >= arrivals,
+        "a node that keeps up should get about one frame per arrival: \
+         {} frames for {arrivals} arrivals",
+        outcome.frames_injected
+    );
+
+    let mut latencies: Vec<TimeDelta> = outcome.results.iter().map(|t| t.latency()).collect();
+    latencies.sort_unstable();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median.as_micros() * 4 < flush_interval.as_micros(),
+        "median result latency {median} should sit far below the {flush_interval} bound"
     );
 }
