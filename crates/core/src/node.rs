@@ -61,9 +61,10 @@ pub trait PipelineNode<R, S>: Send {
 
     /// Handles a whole frame of left-to-right messages, appending every
     /// emitted message and result to the same `out` buffer.  The input is
-    /// **drained**, not consumed: the caller keeps the emptied `Vec` and
-    /// recycles its capacity (the runtime's per-worker frame arenas), so
-    /// implementations must leave `msgs` empty.
+    /// **drained**, not consumed: the caller owns the frame buffer and
+    /// drops it afterwards, so a message left in `msgs` would vanish
+    /// unhandled.  Implementations must leave `msgs` empty (the runtime
+    /// asserts it in debug builds).
     ///
     /// The default implementation loops over [`PipelineNode::handle_left`],
     /// so existing node implementations keep working unchanged; node types

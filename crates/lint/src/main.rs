@@ -1,6 +1,6 @@
 //! House lint for the handshake-join workspace (run in CI).
 //!
-//! Three rules, all textual and dependency-free:
+//! Four rules, all textual and dependency-free:
 //!
 //! 1. **`facade`** — no direct `std::sync` / `std::thread` /
 //!    `std::time::Instant` use outside `crates/sync`.  Every other crate

@@ -14,10 +14,9 @@
 //! * **Mutex** ([`bounded`] / [`unbounded`]): a `Mutex<VecDeque>` plus two
 //!   condition variables (consumer wake-up and, for bounded channels,
 //!   producer backpressure).  Senders are cloneable (multiple producers),
-//!   receivers are unique.  This remains the transport for the genuinely
-//!   multi-producer edges — the elastic result channel and the command
-//!   mailboxes — and the reference implementation the ring is tested
-//!   against.
+//!   receivers are unique.  This is the transport of the genuinely
+//!   multi-producer edges: the elastic result channel and the command
+//!   mailboxes.
 //! * **Ring** ([`spsc_bounded`] / [`spsc_unbounded`]): the lock-free ring
 //!   buffer in [`crate::ring`], used for the chain's data edges, which
 //!   are single-producer/single-consumer by construction.  The consumer's
@@ -267,9 +266,10 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     channel(Some(capacity.max(1)))
 }
 
-/// Creates an unbounded channel: `send` never blocks.  Used for the links
-/// *between* workers, where mutual blocking of two neighbours (R traffic
-/// going right, acknowledgements going left) could deadlock.
+/// Creates an unbounded channel: `send` never blocks.  Used for the
+/// multi-producer edges (the elastic result channel, the command
+/// mailboxes, the fence protocol's confirmations), where no producer may
+/// wait on the consumer.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     channel(None)
 }
@@ -282,16 +282,13 @@ pub fn spsc_bounded<T>(capacity: usize, waiter: Option<&WaitSet>) -> (Sender<T>,
     ring_channel(capacity, true, waiter)
 }
 
-/// Creates an unbounded ring channel: a lock-free ring of `ring_capacity`
-/// slots backed by a mutex spillway that absorbs bursts, so `send` never
+/// Creates an unbounded ring channel: a lock-free ring of `slots` slots
+/// backed by a mutex spillway that absorbs bursts, so `send` never
 /// blocks.  The transport for the links *between* workers (where mutual
-/// blocking of two neighbours could deadlock) and for the flow-back
-/// recycling edges.
-pub fn spsc_unbounded<T>(
-    ring_capacity: usize,
-    waiter: Option<&WaitSet>,
-) -> (Sender<T>, Receiver<T>) {
-    ring_channel(ring_capacity, false, waiter)
+/// blocking of two neighbours could deadlock) and for the per-worker
+/// result queues.
+pub fn spsc_unbounded<T>(slots: usize, waiter: Option<&WaitSet>) -> (Sender<T>, Receiver<T>) {
+    ring_channel(slots, false, waiter)
 }
 
 fn ring_channel<T>(
@@ -365,36 +362,6 @@ impl<T> Sender<T> {
         Ok(())
     }
 
-    /// Best-effort non-blocking send: enqueues only if it can do so
-    /// without blocking or spilling, returning the frame otherwise.  The
-    /// arena flow-back edges use it — dropping a recycled buffer beats
-    /// waiting for room to return it.
-    pub fn try_send(&self, frame: T) -> Result<(), T> {
-        match &self.flavor {
-            Flavor::Ring(ring) => ring.try_send(frame),
-            Flavor::Mutex(shared) => {
-                let mut state = shared.state.lock().expect("channel poisoned");
-                if !state.receiver_alive {
-                    return Err(frame);
-                }
-                if let Some(cap) = state.capacity {
-                    if state.queue.len() >= cap {
-                        return Err(frame);
-                    }
-                }
-                state.queue.push_back(frame);
-                if let Some(waiter) = &state.waiter {
-                    waiter.notify();
-                }
-                drop(state);
-                shared.not_empty.notify_one();
-                Ok(())
-            }
-        }
-    }
-}
-
-impl<T> Sender<T> {
     /// Number of frames currently queued in the channel.
     ///
     /// Exposed on the *sender* because that is the half the control plane

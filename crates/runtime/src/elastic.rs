@@ -63,14 +63,14 @@
 //! [`crate::autoscale`] controller automates the chain-length half.
 
 use crate::autoscale::{AutoscaleOptions, Controller};
-use crate::channel::{bounded, spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
+use crate::channel::{spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
 use crate::exec::{
     flush_slice, pace_until, spawn_collector, CensusReport, CollectorConfig, CoreMap, EntryState,
     InFlight, ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared,
-    WorkerWiring, MIN_PACING_SLICE,
+    ENTRY_FRAMES, MIN_PACING_SLICE, RING_SLOTS,
 };
 use crate::metrics::MetricsBus;
-use crate::options::{Pacing, PipelineOptions, Transport};
+use crate::options::{Pacing, PipelineOptions};
 use llhj_core::checkpoint::{
     load_latest_checkpoint, ChainCheckpoint, ChainCheckpointer, CheckpointError, CheckpointPayload,
     CheckpointStore, ReplayLog,
@@ -102,28 +102,6 @@ type Frame<R, S> = MessageBatch<R, S>;
 /// A freshly created link: the sender half plus the (not yet handed out)
 /// receiver half.
 type NewLink<R, S> = (Sender<Frame<R, S>>, Option<Receiver<Frame<R, S>>>);
-
-/// Both halves of a frame link, as returned by the channel constructors.
-type Link<R, S> = (Sender<Frame<R, S>>, Receiver<Frame<R, S>>);
-
-/// A bounded driver entry link for the consumer parking on `waiter`,
-/// honouring the configured transport.  Ring channels bind the wait set at
-/// construction, which is why every call site threads the *consuming*
-/// worker's wait set through here.
-fn entry_link<R, S>(options: &PipelineOptions, waiter: &WaitSet) -> Link<R, S> {
-    match options.transport {
-        Transport::Ring => spsc_bounded(options.channel_capacity, Some(waiter)),
-        Transport::Mutex => bounded(options.channel_capacity),
-    }
-}
-
-/// An unbounded inner link (worker → worker), same waiter contract.
-fn inner_link<R, S>(options: &PipelineOptions, waiter: &WaitSet) -> Link<R, S> {
-    match options.transport {
-        Transport::Ring => spsc_unbounded(options.ring_capacity, Some(waiter)),
-        Transport::Mutex => unbounded(),
-    }
-}
 
 /// Builds one pipeline node for position `id` of `nodes`.  The elastic
 /// pipeline re-invokes the factory whenever growth adds nodes.
@@ -351,7 +329,6 @@ where
     result_tx: Option<Sender<TimedResult<R, S>>>,
     collector: Option<JoinHandle<crate::exec::CollectorOutcome<R, S>>>,
     injector: Injector<R, S, P, H>,
-    started: Instant,
     resize_log: Vec<ResizeEvent>,
     retired_counters: Vec<NodeCounters>,
     retired_idle_wakeups: u64,
@@ -383,13 +360,27 @@ where
         policy: H,
         options: PipelineOptions,
     ) -> Self {
+        let clock = Arc::new(StreamClock::new(options.pacing));
+        Self::with_clock(initial_nodes, factory, predicate, policy, options, clock)
+    }
+
+    /// [`Self::new`] on a given stream clock: the shard mesh deploys every
+    /// chain, split children included, on its one clock, so all of them
+    /// pace and stamp detections on the same stream timeline.
+    pub(crate) fn with_clock(
+        initial_nodes: usize,
+        factory: NodeFactory<R, S>,
+        predicate: P,
+        policy: H,
+        options: PipelineOptions,
+        clock: Arc<StreamClock>,
+    ) -> Self {
         assert!(initial_nodes > 0, "pipeline needs at least one node");
         options
             .validate()
             .unwrap_or_else(|err| panic!("invalid PipelineOptions: {err}"));
 
         let in_flight = Arc::new(InFlight::new());
-        let clock = Arc::new(StreamClock::new(options.pacing));
         let stop = Arc::new(AtomicBool::new(false));
         let stop_signal = WaitSet::new();
         let hwm = HighWaterMarks::new();
@@ -397,7 +388,7 @@ where
         let (result_tx, result_rx) = unbounded();
 
         // Channel chain, exactly as in the fixed runtime: bounded entry
-        // channels (driver backpressure), unbounded inner links (two
+        // rings (driver backpressure), unbounded inner rings (two
         // neighbours may send to each other simultaneously).  The wait
         // sets are created first — ring channels bind their consumer's
         // wait set at construction.
@@ -409,16 +400,16 @@ where
         let mut rtl_rx: Vec<Option<Receiver<Frame<R, S>>>> = Vec::with_capacity(n);
         for (k, waitset) in waitsets.iter().enumerate() {
             let (tx, rx) = if k == 0 {
-                entry_link(&options, waitset)
+                spsc_bounded(ENTRY_FRAMES, Some(waitset))
             } else {
-                inner_link(&options, waitset)
+                spsc_unbounded(RING_SLOTS, Some(waitset))
             };
             ltr_tx.push(Some(tx));
             ltr_rx.push(Some(rx));
             let (tx, rx) = if k == n - 1 {
-                entry_link(&options, waitset)
+                spsc_bounded(ENTRY_FRAMES, Some(waitset))
             } else {
-                inner_link(&options, waitset)
+                spsc_unbounded(RING_SLOTS, Some(waitset))
             };
             rtl_tx.push(Some(tx));
             rtl_rx.push(Some(rx));
@@ -447,7 +438,6 @@ where
             result_tx: Some(result_tx),
             collector: None,
             injector: Injector::new(predicate, policy, n),
-            started: Instant::now(),
             resize_log: Vec::new(),
             retired_counters: Vec::new(),
             retired_idle_wakeups: 0,
@@ -572,13 +562,9 @@ where
                 .clone(),
             busy_ns: Some(self.metrics.register_node(id)),
         };
-        // Elastic workers recycle frame buffers through their local pools
-        // only: the chain ends move on every resize, so a driver flow-back
-        // edge would need re-wiring inside the fence for no measured gain.
-        let mut wiring = WorkerWiring::new(waitset);
-        wiring.pin_core = self.take_pin_slot();
+        let pin_core = self.take_pin_slot();
         Worker::spawn(
-            id, nodes, node, left_rx, right_rx, to_left, to_right, shared, true, wiring,
+            id, nodes, node, left_rx, right_rx, to_left, to_right, shared, true, waitset, pin_core,
         )
     }
 
@@ -617,9 +603,10 @@ where
         }
     }
 
-    /// Real-time pacing wait before injecting an event scheduled at `at`
-    /// (the drivers' shared `exec::pace_until`).  Returns `true` if the
-    /// wait was cancelled.
+    /// Pacing wait before injecting an event scheduled at `at`, until the
+    /// stream clock's deadline for it (the drivers' shared
+    /// `exec::pace_until`; unpaced, the deadline has always passed).
+    /// Returns `true` if the wait was cancelled.
     ///
     /// The flush policy runs before the first park, so a frame leaves on
     /// an idle link as soon as the driver has caught up.  With a
@@ -642,13 +629,7 @@ where
         cancel: &crate::channel::CancelToken,
         controller: Option<&Controller>,
     ) -> bool {
-        if !matches!(self.options.pacing, Pacing::RealTime { .. }) {
-            return false;
-        }
-        let deadline = self.started
-            + self
-                .options
-                .stream_to_wall(at.saturating_since(Timestamp::ZERO));
+        let deadline = self.clock.deadline(at);
         let tick = controller.map(|c| c.tick().max(MIN_PACING_SLICE));
         let slice = flush_slice(&self.options).into_iter().chain(tick).min();
         self.actuate(controller);
@@ -772,8 +753,7 @@ where
         // becomes the new rightmost: its right input switches to a fresh
         // driver entry channel and its right output disappears.
         let boundary = &self.workers[target - 1];
-        let (new_right_tx, new_right_rx) = entry_link(&self.options, &boundary.waitset);
-        new_right_rx.set_waiter(&boundary.waitset);
+        let (new_right_tx, new_right_rx) = spsc_bounded(ENTRY_FRAMES, Some(&boundary.waitset));
         let _ = boundary.commands().send(WorkerCommand::Absorb {
             from: llhj_core::message::Direction::Right,
             stall,
@@ -839,7 +819,7 @@ where
         let mut rtl: Vec<NewLink<R, S>> = Vec::new();
         for i in 0..right_delta {
             // ltr[i] feeds new worker i's left input.
-            let (tx, rx) = inner_link(&self.options, &right_ws[i]);
+            let (tx, rx) = spsc_unbounded(RING_SLOTS, Some(&right_ws[i]));
             ltr.push((tx, Some(rx)));
             // rtl[i] flows leftward: rtl[0] into the old rightmost, rtl[i]
             // into new worker i − 1.
@@ -848,7 +828,7 @@ where
             } else {
                 &right_ws[i - 1]
             };
-            let (tx, rx) = inner_link(&self.options, waiter);
+            let (tx, rx) = spsc_unbounded(RING_SLOTS, Some(waiter));
             rtl.push((tx, Some(rx)));
         }
         // Spawn the new workers first so the extension is ready before any
@@ -858,7 +838,7 @@ where
         // approximate across a both-end grow while the totals stay exact.)
         let mut new_right_entry = None;
         if right_delta > 0 {
-            let (tx, rx) = entry_link(&self.options, &right_ws[right_delta - 1]);
+            let (tx, rx) = spsc_bounded(ENTRY_FRAMES, Some(&right_ws[right_delta - 1]));
             new_right_entry = Some(tx);
             let mut new_right_rx = Some(rx);
             for i in 0..right_delta {
@@ -900,16 +880,16 @@ where
             } else {
                 &self.workers[0].waitset
             };
-            let (tx, rx) = inner_link(&self.options, waiter);
+            let (tx, rx) = spsc_unbounded(RING_SLOTS, Some(waiter));
             lltr.push((tx, Some(rx)));
             // lrtl[i] feeds new worker i's right input.
-            let (tx, rx) = inner_link(&self.options, &left_ws[i]);
+            let (tx, rx) = spsc_unbounded(RING_SLOTS, Some(&left_ws[i]));
             lrtl.push((tx, Some(rx)));
         }
         let mut new_left_entry = None;
         let mut left_workers: Vec<WorkerHandle<R, S>> = Vec::new();
         if left_delta > 0 {
-            let (tx, rx) = entry_link(&self.options, &left_ws[0]);
+            let (tx, rx) = spsc_bounded(ENTRY_FRAMES, Some(&left_ws[0]));
             new_left_entry = Some(tx);
             let mut new_left_rx = Some(rx);
             for i in 0..left_delta {
@@ -939,28 +919,16 @@ where
         }
 
         // The old end nodes become inner nodes: they gain a neighbour on
-        // the new links.  Each replacement receiver must be registered
-        // with the owning worker's wait set *before* the worker receives
-        // it — a send into an unregistered channel would not wake the
-        // parked worker, leaving every frame crossing the old/new
-        // boundary to the 10 ms safety-net timeout.
-        let mut boundary_right_rx = if right_delta > 0 {
-            let rx = rtl[0].1.take().expect("old rightmost right input");
-            rx.set_waiter(&self.workers[current - 1].waitset);
-            Some(rx)
-        } else {
-            None
-        };
-        let mut boundary_left_rx = if left_delta > 0 {
-            let rx = lltr[left_delta - 1]
+        // the new links, whose rings were bound to the old ends' wait sets
+        // at construction above.
+        let mut boundary_right_rx =
+            (right_delta > 0).then(|| rtl[0].1.take().expect("old rightmost right input"));
+        let mut boundary_left_rx = (left_delta > 0).then(|| {
+            lltr[left_delta - 1]
                 .1
                 .take()
-                .expect("old leftmost left input");
-            rx.set_waiter(&self.workers[0].waitset);
-            Some(rx)
-        } else {
-            None
-        };
+                .expect("old leftmost left input")
+        });
         for k in 0..current {
             let (right_rx, to_right) = if k + 1 == current && right_delta > 0 {
                 (
@@ -1431,7 +1399,7 @@ where
             retired_counters: std::mem::take(&mut self.retired_counters),
             latency: collected.latency,
             latency_series: collected.series.finish(),
-            elapsed: self.started.elapsed(),
+            elapsed: self.clock.elapsed(),
             punctuation_count: collected.punctuation_count,
             arrivals_per_stream: self.entry.arrivals(),
             frames_injected: self.entry.frames_injected,

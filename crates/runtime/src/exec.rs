@@ -58,10 +58,15 @@ use std::collections::VecDeque;
 /// missed notification; it is not a polling interval.
 pub(crate) const WORKER_PARK: Duration = Duration::from_millis(10);
 
-/// How many drained frame buffers a worker keeps per direction for reuse.
-/// Small on purpose: each direction circulates one buffer per in-flight
-/// frame, so a handful covers the steady state and a burst just allocates.
-const ARENA_POOL: usize = 4;
+/// Depth, in frames, of a bounded driver entry link: how far the driver
+/// may run ahead of the entry node before a full link parks it (the
+/// driver's backpressure point).
+pub(crate) const ENTRY_FRAMES: usize = 1024;
+
+/// Lock-free depth, in frames, of an unbounded inner link (worker →
+/// worker, worker → collector); bursts beyond it spill into the ring's
+/// mutex spillway.
+pub(crate) const RING_SLOTS: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Core pinning
@@ -175,7 +180,12 @@ pub(crate) fn unpin_thread() {
     affinity::unpin_current_thread();
 }
 
-/// The shared stream clock: maps wall-clock time to stream time.
+/// The one stream clock of a deployment: the only mapping between wall
+/// time and stream time.  The driver paces against [`Self::deadline`] and
+/// the workers stamp detections with [`Self::now`], both measured from the
+/// same origin, so a latency (detection time − max(t_r, t_s), §3.1 of the
+/// paper) never mixes two timelines.  A shard mesh hands its one clock to
+/// every chain, split children included.
 pub(crate) struct StreamClock {
     pacing: Pacing,
     start: Instant,
@@ -199,16 +209,35 @@ impl StreamClock {
     }
 
     pub(crate) fn now(&self) -> Timestamp {
+        self.at(Instant::now())
+    }
+
+    /// The stream time the clock reads at wall instant `wall`.
+    fn at(&self, wall: Instant) -> Timestamp {
         match self.pacing {
             Pacing::Unpaced => Timestamp::from_micros(self.injected_us.load(Ordering::Relaxed)),
             Pacing::RealTime { speedup } => {
                 // `speedup` is validated finite by `PipelineOptions::
                 // validate`; a negative value clamps to a frozen clock
                 // instead of travelling through the float→int cast.
-                let elapsed = self.start.elapsed().as_secs_f64() * speedup.max(0.0);
+                let elapsed =
+                    wall.saturating_duration_since(self.start).as_secs_f64() * speedup.max(0.0);
                 Timestamp::from_micros(saturating_micros(elapsed))
             }
         }
+    }
+
+    /// The wall instant at which the clock reads stream time `at`: when a
+    /// paced driver injects an event scheduled at `at`.  Unpaced (or at a
+    /// non-positive speedup) every deadline is the origin, already past.
+    pub(crate) fn deadline(&self, at: Timestamp) -> Instant {
+        let since_origin = at.saturating_since(Timestamp::ZERO);
+        self.start + self.pacing.stream_to_wall(since_origin)
+    }
+
+    /// Wall time since the clock's origin: the run's elapsed time.
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.start.elapsed()
     }
 }
 
@@ -361,14 +390,6 @@ pub(crate) struct EntryBatcher<M, R, S> {
     stream_len: usize,
     tx: Sender<MessageBatch<R, S>>,
     wrap: fn(Vec<M>) -> MessageBatch<R, S>,
-    /// Drained frame buffers flowing back from the direction's sink node
-    /// (rightmost for left-to-right frames, node 0 for the other way).
-    /// When wired, flushed frames are assembled in recycled buffers and
-    /// steady-state injection allocates no fresh `Vec`s.
-    recycle: Option<Receiver<Vec<M>>>,
-    /// Buffers this batcher had to allocate because the recycle ring was
-    /// empty (or absent).  The honesty counter behind the arena tests.
-    pub(crate) fresh_allocs: u64,
 }
 
 impl<M, R, S> EntryBatcher<M, R, S> {
@@ -382,27 +403,7 @@ impl<M, R, S> EntryBatcher<M, R, S> {
             stream_len: usize::MAX,
             tx,
             wrap,
-            recycle: None,
-            fresh_allocs: 0,
         }
-    }
-
-    /// Wires the buffer flow-back ring from this direction's sink worker.
-    pub(crate) fn set_recycle(&mut self, rx: Receiver<Vec<M>>) {
-        self.recycle = Some(rx);
-    }
-
-    /// The buffer the next frame is assembled in: recycled when the sink
-    /// has flowed one back, freshly allocated (and counted) otherwise.
-    fn next_buffer(&mut self) -> Vec<M> {
-        if let Some(rx) = &self.recycle {
-            if let Ok(mut buf) = rx.try_recv() {
-                buf.clear();
-                return buf;
-            }
-        }
-        self.fresh_allocs += 1;
-        Vec::new()
     }
 
     /// Queues a control message; it rides the next flush.
@@ -471,10 +472,9 @@ impl<M, R, S> EntryBatcher<M, R, S> {
         if self.pending.is_empty() {
             return;
         }
-        let replacement = self.next_buffer();
         send_frame(
             &self.tx,
-            (self.wrap)(std::mem::replace(&mut self.pending, replacement)),
+            (self.wrap)(std::mem::take(&mut self.pending)),
             in_flight,
         );
         *frames_injected += 1;
@@ -761,56 +761,9 @@ pub(crate) struct WorkerShared<R, S> {
 pub(crate) struct WorkerExit {
     pub(crate) counters: NodeCounters,
     pub(crate) idle_wakeups: u64,
-    /// Frame buffers this worker allocated because its arena pool was
-    /// empty.  Zero bar warm-up when the arena circulation is working.
+    /// Frames this worker sent to a neighbour.  Each is assembled in a
+    /// freshly allocated buffer, so this is also its buffer allocations.
     pub(crate) batch_allocs: u64,
-}
-
-/// Per-worker placement and arena wiring, decided by the pipeline that
-/// spawns the worker.  Bundled so [`Worker::spawn`] keeps a readable
-/// signature as transports grow knobs.
-pub(crate) struct WorkerWiring<R, S> {
-    /// The wait set the worker parks on.  Created by the *caller* so ring
-    /// channels feeding this worker can bind it at construction (the
-    /// lock-free notify path cannot look a waiter up later).
-    pub(crate) waitset: WaitSet,
-    /// Core to pin the worker thread to, when a [`CoreMap`] is active.
-    pub(crate) pin_core: Option<usize>,
-    /// Where the worker flows drained left-to-right frame buffers once it
-    /// is the rightmost node (that direction's sink).  `None` keeps them
-    /// in the local pool.
-    pub(crate) recycle_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    /// Same for right-to-left buffers once the worker is node 0.
-    pub(crate) recycle_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    /// Surplus LTR buffers the rightmost node returns to node 0 once the
-    /// driver's flow-back ring is full.  Node 0 *originates* LTR frames
-    /// (an acknowledgement frame per right-to-left frame it handles)
-    /// without receiving a matching LTR buffer, so without this leg it
-    /// allocates once per handled frame while the driver's ring overflows
-    /// with the very buffers it needs.
-    pub(crate) xfer_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    /// The receiving half at node 0: refills `take_ltr` after the pool.
-    pub(crate) refill_ltr: Option<Receiver<Vec<LeftToRight<R>>>>,
-    /// Mirror legs for RTL buffers: node 0 (the RTL sink) returns surplus
-    /// to the rightmost node, the RTL originator.
-    pub(crate) xfer_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    /// The receiving half at the rightmost node.
-    pub(crate) refill_rtl: Option<Receiver<Vec<RightToLeft<S>>>>,
-}
-
-impl<R, S> WorkerWiring<R, S> {
-    pub(crate) fn new(waitset: WaitSet) -> Self {
-        WorkerWiring {
-            waitset,
-            pin_core: None,
-            recycle_ltr: None,
-            recycle_rtl: None,
-            xfer_ltr: None,
-            refill_ltr: None,
-            xfer_rtl: None,
-            refill_rtl: None,
-        }
-    }
 }
 
 /// The control plane's handle on one spawned worker.  `cmd_tx` is `None`
@@ -852,21 +805,6 @@ pub(crate) struct Worker<R, S> {
     idle_wakeups: u64,
     /// Core to pin to on the worker's own stack, first thing in `run`.
     pin_core: Option<usize>,
-    /// Arena pools of drained frame buffers, one per direction.  An inner
-    /// node is buffer-balanced (each incoming frame is replaced by at most
-    /// one outgoing frame the same direction), so a handful of buffers
-    /// circulates indefinitely.
-    pool_ltr: Vec<Vec<LeftToRight<R>>>,
-    pool_rtl: Vec<Vec<RightToLeft<S>>>,
-    /// Flow-back rings towards the driver's entry batchers (see
-    /// [`WorkerWiring`]).
-    recycle_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    recycle_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    /// Surplus legs between the two chain ends (see [`WorkerWiring`]).
-    xfer_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    refill_ltr: Option<Receiver<Vec<LeftToRight<R>>>>,
-    xfer_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    refill_rtl: Option<Receiver<Vec<RightToLeft<S>>>>,
     batch_allocs: u64,
 }
 
@@ -876,12 +814,13 @@ where
     S: Clone + Send + 'static,
 {
     /// Spawns a worker thread for position `id` of `nodes`, registering
-    /// the wiring's wait set with both inputs — and, when `with_mailbox`
-    /// is set (elastic pipelines), with a command mailbox.  A mailbox-less
-    /// worker never pays the per-iteration command poll.  The wait set
-    /// arrives pre-made inside `wiring` because ring inputs already bound
-    /// it at channel construction (`set_waiter` then only asserts the
-    /// binding matches).
+    /// `waitset` with both inputs — and, when `with_mailbox` is set
+    /// (elastic pipelines), with a command mailbox.  A mailbox-less
+    /// worker never pays the per-iteration command poll.  The caller makes
+    /// the wait set before the worker's input rings, which bind it at
+    /// construction (`set_waiter` then only asserts the binding matches);
+    /// `pin_core` is the core to pin the thread to, when a [`CoreMap`] is
+    /// active.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn(
         id: usize,
@@ -893,9 +832,9 @@ where
         to_right: Option<Sender<Frame<R, S>>>,
         shared: WorkerShared<R, S>,
         with_mailbox: bool,
-        wiring: WorkerWiring<R, S>,
+        waitset: WaitSet,
+        pin_core: Option<usize>,
     ) -> WorkerHandle<R, S> {
-        let waitset = wiring.waitset;
         left_rx.set_waiter(&waitset);
         right_rx.set_waiter(&waitset);
         let (cmd_tx, cmd_rx) = if with_mailbox {
@@ -920,15 +859,7 @@ where
             shared,
             pending_segment: None,
             idle_wakeups: 0,
-            pin_core: wiring.pin_core,
-            pool_ltr: Vec::new(),
-            pool_rtl: Vec::new(),
-            recycle_ltr: wiring.recycle_ltr,
-            recycle_rtl: wiring.recycle_rtl,
-            xfer_ltr: wiring.xfer_ltr,
-            refill_ltr: wiring.refill_ltr,
-            xfer_rtl: wiring.xfer_rtl,
-            refill_rtl: wiring.refill_rtl,
+            pin_core,
             batch_allocs: 0,
         };
         WorkerHandle {
@@ -996,113 +927,6 @@ where
         }
     }
 
-    /// Returns a drained left-to-right frame buffer to circulation: flowed
-    /// back to the driver when this worker is that direction's sink (the
-    /// rightmost node), pooled locally otherwise.  The flow-back ring is
-    /// best-effort (`try_send`): a full ring just drops the buffer.
-    fn stash_ltr(&mut self, buf: Vec<LeftToRight<R>>) {
-        let mut buf = buf;
-        // Sink priority: the driver's flow-back ring drains exactly one
-        // buffer per entry flush; everything beyond that is surplus.
-        if self.id + 1 == self.nodes {
-            if let Some(tx) = &self.recycle_ltr {
-                match tx.try_send(buf) {
-                    Ok(()) => return,
-                    Err(back) => buf = back,
-                }
-            }
-        }
-        if self.pool_ltr.len() < ARENA_POOL {
-            self.pool_ltr.push(buf);
-            return;
-        }
-        // Pool full: this node holds more LTR buffers than it will ever
-        // spend — pass the surplus one hop towards node 0, the direction's
-        // originator (acknowledgement frames start there without a
-        // matching incoming buffer).  Best-effort: a full leg just costs
-        // the originator one allocation.
-        if let Some(tx) = &self.xfer_ltr {
-            let _ = tx.try_send(buf);
-        }
-    }
-
-    /// Same for right-to-left buffers; node 0 is that direction's sink,
-    /// the rightmost node its originator (expedition-end markers), and
-    /// surplus flows rightward hop by hop.
-    fn stash_rtl(&mut self, buf: Vec<RightToLeft<S>>) {
-        let mut buf = buf;
-        if self.id == 0 {
-            if let Some(tx) = &self.recycle_rtl {
-                match tx.try_send(buf) {
-                    Ok(()) => return,
-                    Err(back) => buf = back,
-                }
-            }
-        }
-        if self.pool_rtl.len() < ARENA_POOL {
-            self.pool_rtl.push(buf);
-            return;
-        }
-        if let Some(tx) = &self.xfer_rtl {
-            let _ = tx.try_send(buf);
-        }
-    }
-
-    /// Opportunistic surplus relay, once per handled frame: moves at most
-    /// one buffer per direction from the incoming surplus leg into the
-    /// local pool, or — pool full — onward to the next hop.  Without this
-    /// pump a middle node (whose own pool stays full because its flow is
-    /// balanced) would stall the daisy chain: buffers terminating at a
-    /// middle home would never reach the end node that keeps allocating.
-    fn relay_surplus(&mut self) {
-        if let Some(rx) = &self.refill_ltr {
-            if let Ok(buf) = rx.try_recv() {
-                if self.pool_ltr.len() < ARENA_POOL {
-                    self.pool_ltr.push(buf);
-                } else if let Some(tx) = &self.xfer_ltr {
-                    let _ = tx.try_send(buf);
-                }
-            }
-        }
-        if let Some(rx) = &self.refill_rtl {
-            if let Ok(buf) = rx.try_recv() {
-                if self.pool_rtl.len() < ARENA_POOL {
-                    self.pool_rtl.push(buf);
-                } else if let Some(tx) = &self.xfer_rtl {
-                    let _ = tx.try_send(buf);
-                }
-            }
-        }
-    }
-
-    fn take_ltr(&mut self) -> Vec<LeftToRight<R>> {
-        if let Some(buf) = self.pool_ltr.pop() {
-            return buf;
-        }
-        if let Some(rx) = &self.refill_ltr {
-            if let Ok(mut buf) = rx.try_recv() {
-                buf.clear();
-                return buf;
-            }
-        }
-        self.batch_allocs += 1;
-        Vec::new()
-    }
-
-    fn take_rtl(&mut self) -> Vec<RightToLeft<S>> {
-        if let Some(buf) = self.pool_rtl.pop() {
-            return buf;
-        }
-        if let Some(rx) = &self.refill_rtl {
-            if let Ok(mut buf) = rx.try_recv() {
-                buf.clear();
-                return buf;
-            }
-        }
-        self.batch_allocs += 1;
-        Vec::new()
-    }
-
     /// Processes one data frame: batch dispatch into the node, high-water
     /// mark observation at the pipeline ends, output forwarding (the
     /// complete output of one frame leaves as at most one frame per
@@ -1153,10 +977,7 @@ where
                         .map(|ts| (true, ts));
                 }
                 self.node.handle_left_batch(&mut msgs, out);
-                // The batch contract is to drain; recycle the buffer.
                 debug_assert!(msgs.is_empty(), "handle_left_batch must drain its input");
-                msgs.clear();
-                self.stash_ltr(msgs);
             }
             MessageBatch::Right(mut msgs) => {
                 if is_leftmost {
@@ -1171,8 +992,6 @@ where
                 }
                 self.node.handle_right_batch(&mut msgs, out);
                 debug_assert!(msgs.is_empty(), "handle_right_batch must drain its input");
-                msgs.clear();
-                self.stash_rtl(msgs);
             }
             MessageBatch::Handoff(_) => unreachable!("stashed above"),
         }
@@ -1195,21 +1014,19 @@ where
         // per direction: this is where per-message channel cost collapses
         // to per-frame cost.
         if !out.to_right.is_empty() {
-            if self.to_right.is_some() {
-                let replacement = self.take_ltr();
-                let msgs = std::mem::replace(&mut out.to_right, replacement);
-                let tx = self.to_right.as_ref().expect("checked above");
+            if let Some(tx) = &self.to_right {
+                let msgs = std::mem::take(&mut out.to_right);
                 send_frame(tx, MessageBatch::Left(msgs), &self.shared.in_flight);
+                self.batch_allocs += 1;
             } else {
                 out.to_right.clear();
             }
         }
         if !out.to_left.is_empty() {
-            if self.to_left.is_some() {
-                let replacement = self.take_rtl();
-                let msgs = std::mem::replace(&mut out.to_left, replacement);
-                let tx = self.to_left.as_ref().expect("checked above");
+            if let Some(tx) = &self.to_left {
+                let msgs = std::mem::take(&mut out.to_left);
                 send_frame(tx, MessageBatch::Right(msgs), &self.shared.in_flight);
+                self.batch_allocs += 1;
             } else {
                 out.to_left.clear();
             }
@@ -1228,7 +1045,6 @@ where
         if let (Some(slot), Some(started)) = (&self.shared.busy_ns, busy_start) {
             slot.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
-        self.relay_surplus();
         self.shared.in_flight.finish();
     }
 
@@ -1836,6 +1652,27 @@ mod tests {
             entry.left.unsettled(SeqNo(7), marks.r()).is_none(),
             "an arrival this chain never sent"
         );
+    }
+
+    /// The clock is the deployment's one stream↔wall mapping: read at the
+    /// deadline of stream time `t`, it shows `t`, at any speedup.  Unpaced,
+    /// every deadline is the origin, so the driver never waits.
+    #[test]
+    fn clock_reads_its_own_deadlines() {
+        for speedup in [1.0, 4.0, 0.25] {
+            let clock = StreamClock::new(Pacing::RealTime { speedup });
+            for ms in [0, 1, 20, 1_500, 86_400_000] {
+                let t = Timestamp::from_millis(ms);
+                let read = clock.at(clock.deadline(t));
+                let off = read.as_micros().abs_diff(t.as_micros());
+                assert!(
+                    off < 1_000,
+                    "speedup {speedup}: read {read} at the deadline of {t}"
+                );
+            }
+        }
+        let unpaced = StreamClock::new(Pacing::Unpaced);
+        assert!(unpaced.deadline(Timestamp::from_secs(60)) <= Instant::now());
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use elastic::{
 };
 pub use mesh::{recover_mesh_pipeline, run_mesh_pipeline, MeshOutcome, MeshPipeline, ReshardEvent};
 pub use metrics::MetricsBus;
-pub use options::{Pacing, PipelineOptions, Transport};
+pub use options::{Pacing, PipelineOptions};
 pub use pipeline::{run_pipeline, RunOutcome};
 
 /// Whether [`PipelineOptions::pin_cores`] can actually pin on this host:
@@ -82,18 +82,6 @@ pub use pipeline::{run_pipeline, RunOutcome};
 /// record honestly whether their numbers were taken pinned.
 pub fn pinning_available(threads: usize) -> bool {
     exec::pinning_available(threads)
-}
-
-/// Pins the calling thread to the given logical core (no-op on platforms
-/// without `sched_setaffinity`).  Exposed for benchmark binaries that
-/// measure pinned-vs-unpinned transport cost outside a pipeline.
-pub fn pin_thread(core: usize) {
-    exec::pin_thread(core)
-}
-
-/// Reverts the calling thread to an all-cores affinity mask.
-pub fn unpin_thread() {
-    exec::unpin_thread()
 }
 
 use llhj_core::node::PipelineNode;

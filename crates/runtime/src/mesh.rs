@@ -41,7 +41,7 @@ use crate::channel::CancelToken;
 use crate::elastic::{
     CheckpointConfig, ElasticOutcome, ElasticPipeline, NodeFactory, ScalePipeline,
 };
-use crate::exec::{flush_slice, pace_until};
+use crate::exec::{flush_slice, pace_until, StreamClock};
 use crate::options::PipelineOptions;
 use llhj_core::checkpoint::{
     load_latest_mesh, ChainCheckpointer, CheckpointError, CheckpointPayload, CheckpointStore,
@@ -55,7 +55,8 @@ use llhj_core::result::TimedResult;
 use llhj_core::shard::{merge_punctuated_streams, MeshPlan, RouteMode, ShardRouter};
 use llhj_core::time::Timestamp;
 use llhj_core::tuple::SeqNo;
-use llhj_sync::time::{Duration, Instant};
+use llhj_sync::sync::Arc;
+use llhj_sync::time::Duration;
 
 /// One completed mesh reshaping, for the outcome's reshard log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,7 +120,9 @@ where
     /// join the final frontier merge.
     retired: Vec<ElasticOutcome<R, S>>,
     reshard_log: Vec<ReshardEvent>,
-    started: Instant,
+    /// The mesh's one stream clock, shared by every chain (split children
+    /// included): the router paces against it, the workers stamp with it.
+    clock: Arc<StreamClock>,
     migration_stall: Option<Duration>,
     cancelled: bool,
 }
@@ -149,18 +152,20 @@ where
             "co-partitioning requires a predicate with both equi-key extractors"
         );
         let router = ShardRouter::new(predicate.clone(), mode, shards);
+        let clock = Arc::new(StreamClock::new(options.pacing));
         let chains = (0..shards)
             .map(|p| {
                 // Stagger each chain's core slots so two shards' workers do
                 // not stack on the same cores (a no-op unless `pin_cores`).
                 let mut chain_options = options.clone();
                 chain_options.pin_core_offset = options.pin_core_offset + p * (width + 1);
-                ElasticPipeline::new(
+                ElasticPipeline::with_clock(
                     width,
                     factory.clone(),
                     predicate.clone(),
                     policy.clone(),
                     chain_options,
+                    Arc::clone(&clock),
                 )
             })
             .collect();
@@ -173,7 +178,7 @@ where
             options,
             retired: Vec::new(),
             reshard_log: Vec::new(),
-            started: Instant::now(),
+            clock,
             migration_stall: None,
             cancelled: false,
         }
@@ -189,18 +194,12 @@ where
         &self.reshard_log
     }
 
-    /// Real-time pacing before injecting an event scheduled at `at`: the
-    /// drivers' shared sliced wait, applying every chain's idle-driver
-    /// flush policy before each park.  Returns `true` if the wait was
-    /// cancelled.
+    /// Pacing before injecting an event scheduled at `at`, until the mesh
+    /// clock's deadline for it: the drivers' shared sliced wait, applying
+    /// every chain's idle-driver flush policy before each park.  Returns
+    /// `true` if the wait was cancelled.
     fn pace(&mut self, at: Timestamp, cancel: &CancelToken) -> bool {
-        let target = self
-            .options
-            .stream_to_wall(at.saturating_since(Timestamp::ZERO));
-        if target.is_zero() {
-            return cancel.is_cancelled();
-        }
-        let deadline = self.started + target;
+        let deadline = self.clock.deadline(at);
         pace_until(deadline, flush_slice(&self.options), cancel, || {
             for chain in &mut self.chains {
                 chain.poll_entry();
@@ -242,7 +241,9 @@ where
             // moving rows re-enter at position `k`, preserving positional
             // invariants; the per-chain rebalance below levels both chains
             // afterwards.
-            let mut child = ElasticPipeline::new(
+            // The child joins the mesh's stream clock: a fresh clock
+            // would restart its stream time at 0 mid-run.
+            let mut child = ElasticPipeline::with_clock(
                 width,
                 self.factory.clone(),
                 self.predicate.clone(),
@@ -254,6 +255,7 @@ where
                         self.options.pin_core_offset + self.chains.len() * (width + 1);
                     child_options
                 },
+                Arc::clone(&self.clock),
             );
             if let Some(stall) = self.migration_stall {
                 child.set_migration_stall(stall);

@@ -24,24 +24,6 @@ pub enum Pacing {
     },
 }
 
-/// Which transport carries frames over the chain's SPSC data edges
-/// (driver→node₀, nodeᵢ→nodeᵢ₊₁, node→collector).
-///
-/// The genuinely multi-producer edges — the elastic result channel and
-/// the worker command mailboxes — always use the mutex transport
-/// regardless of this setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Lock-free SPSC ring buffers ([`crate::ring`]): the default, and
-    /// the fast path on real multicore.
-    #[default]
-    Ring,
-    /// The `Mutex<VecDeque>` + condvar channel: the reference transport,
-    /// kept selectable so conformance tests can assert the two produce
-    /// byte-identical streams.
-    Mutex,
-}
-
 /// Options for running a threaded pipeline.
 ///
 /// ## Batching knobs
@@ -80,9 +62,6 @@ pub struct PipelineOptions {
     /// Maximum stream time an entry frame held back by a busy link may
     /// wait before it is sent regardless.  `None` disables the age bound.
     pub flush_interval: Option<TimeDelta>,
-    /// Capacity of the bounded FIFO channels between neighbouring workers,
-    /// in frames.
-    pub channel_capacity: usize,
     /// Whether the collector emits punctuations into the output stream.
     pub punctuate: bool,
     /// How often the collector vacuums the per-worker result queues.
@@ -96,15 +75,6 @@ pub struct PipelineOptions {
     /// injecting, drains the pipeline and returns the partial outcome with
     /// [`RunOutcome::cancelled`](crate::RunOutcome) set.
     pub cancel: Option<crate::channel::CancelToken>,
-    /// Which transport carries the chain's SPSC data edges.
-    pub transport: Transport,
-    /// Lock-free fast-path depth (in frames, rounded up to a power of
-    /// two) of the *unbounded* ring links between workers; bursts beyond
-    /// it spill into the ring's mutex spillway.  Entry rings use
-    /// [`channel_capacity`](Self::channel_capacity) instead, preserving
-    /// the driver's backpressure point.  Irrelevant under
-    /// [`Transport::Mutex`].
-    pub ring_capacity: usize,
     /// Pin worker, driver and collector threads to distinct cores
     /// (`sched_setaffinity`).  Off by default; silently a no-op when the
     /// host has fewer cores than the pipeline has threads, on non-Linux
@@ -123,13 +93,10 @@ impl Default for PipelineOptions {
             pacing: Pacing::Unpaced,
             batch_size: 64,
             flush_interval: None,
-            channel_capacity: 1024,
             punctuate: false,
             collect_interval: Duration::from_millis(1),
             latency_bucket: 10_000,
             cancel: None,
-            transport: Transport::Ring,
-            ring_capacity: 256,
             pin_cores: false,
             pin_core_offset: 0,
         }
@@ -151,12 +118,6 @@ impl PipelineOptions {
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());
         }
-        if self.channel_capacity == 0 {
-            return Err("channel_capacity must be positive".into());
-        }
-        if self.ring_capacity == 0 {
-            return Err("ring_capacity must be positive".into());
-        }
         if let Pacing::RealTime { speedup } = self.pacing {
             if !speedup.is_finite() {
                 return Err(format!("RealTime speedup must be finite, got {speedup}"));
@@ -168,7 +129,15 @@ impl PipelineOptions {
     /// Converts a stream-time delta into the wall-clock duration it takes
     /// under the configured pacing.
     pub fn stream_to_wall(&self, delta: TimeDelta) -> Duration {
-        match self.pacing {
+        self.pacing.stream_to_wall(delta)
+    }
+}
+
+impl Pacing {
+    /// The wall-clock duration `delta` of stream time takes under this
+    /// pacing: zero when unpaced or for a non-positive `speedup`.
+    pub(crate) fn stream_to_wall(self, delta: TimeDelta) -> Duration {
+        match self {
             Pacing::Unpaced => Duration::ZERO,
             Pacing::RealTime { speedup } => {
                 if speedup <= 0.0 {
@@ -238,16 +207,6 @@ mod tests {
         }
         let opts = PipelineOptions {
             batch_size: 0,
-            ..Default::default()
-        };
-        assert!(opts.validate().is_err());
-        let opts = PipelineOptions {
-            channel_capacity: 0,
-            ..Default::default()
-        };
-        assert!(opts.validate().is_err());
-        let opts = PipelineOptions {
-            ring_capacity: 0,
             ..Default::default()
         };
         assert!(opts.validate().is_err());

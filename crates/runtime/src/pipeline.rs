@@ -35,12 +35,12 @@
 //! is what the evaluation harness uses to sweep core counts beyond the host
 //! machine.
 
-use crate::channel::{bounded, spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
+use crate::channel::{spsc_bounded, spsc_unbounded, Receiver, Sender, WaitSet};
 use crate::exec::{
     flush_slice, pace_until, spawn_collector, CollectorConfig, CoreMap, EntryState, InFlight,
-    StreamClock, Worker, WorkerShared, WorkerWiring,
+    StreamClock, Worker, WorkerShared, ENTRY_FRAMES, RING_SLOTS,
 };
-use crate::options::{Pacing, PipelineOptions, Transport};
+use crate::options::PipelineOptions;
 use llhj_core::driver::{DriverSchedule, Injector};
 use llhj_core::homing::HomePolicy;
 use llhj_core::message::MessageBatch;
@@ -49,11 +49,10 @@ use llhj_core::predicate::JoinPredicate;
 use llhj_core::punctuation::{HighWaterMarks, OutputItem};
 use llhj_core::result::TimedResult;
 use llhj_core::stats::{LatencyPoint, LatencySummary, NodeCounters};
-use llhj_core::time::Timestamp;
 use llhj_core::tuple::SeqNo;
 use llhj_sync::sync::atomic::{AtomicBool, Ordering};
 use llhj_sync::sync::Arc;
-use llhj_sync::time::{Duration, Instant};
+use llhj_sync::time::Duration;
 
 /// Everything measured during one threaded run.
 #[derive(Debug)]
@@ -77,10 +76,9 @@ pub struct RunOutcome<R, S> {
     pub arrivals_per_stream: (usize, usize),
     /// Number of frames the driver injected into the pipeline ends.
     pub frames_injected: u64,
-    /// Number of frame buffers allocated after start-up — by workers whose
-    /// arena pool ran dry and by the driver's entry batchers when the
-    /// flow-back rings had nothing to recycle.  Bounded (instead of
-    /// growing with the frame count) when the arena circulation works.
+    /// Number of frame buffers allocated: every frame, whether the driver
+    /// injected it or a worker forwarded it, is assembled in a fresh
+    /// buffer, so this is the total number of frames sent.
     pub batch_allocs: u64,
     /// Number of times a worker woke up (or polled) and found neither of
     /// its inputs ready.  Under event-driven scheduling this stays near
@@ -138,7 +136,9 @@ where
     options
         .validate()
         .unwrap_or_else(|err| panic!("invalid PipelineOptions: {err}"));
-    let started = Instant::now();
+    // The run's one stream clock: the driver paces against its
+    // deadlines, the workers stamp detections with its time.
+    let clock = Arc::new(StreamClock::new(options.pacing));
 
     let injector = Injector::new(predicate, policy, n);
     let hwm = HighWaterMarks::new();
@@ -148,7 +148,6 @@ where
     // re-checks the flag immediately instead of timing out.
     let stop_signal = WaitSet::new();
     let in_flight = Arc::new(InFlight::new());
-    let clock = Arc::new(StreamClock::new(options.pacing));
 
     // Core placement: workers take slots 0..n-1, the collector slot n,
     // the driver slot n+1.  `None` (pinning off, too few cores, non-Linux,
@@ -156,56 +155,40 @@ where
     let core_map = CoreMap::new(options.pin_cores, n + 2, options.pin_core_offset);
 
     // Channel wiring: ltr[k] is node k's left input, rtl[k] its right
-    // input; every link carries MessageBatch frames.
+    // input; every link carries MessageBatch frames over a lock-free SPSC
+    // ring (every data edge here is SPSC by construction).
     //
-    // The two channels entering the pipeline from the driver are bounded so
+    // The two rings entering the pipeline from the driver are bounded so
     // the driver experiences backpressure (it can never run ahead of the
-    // pipeline by more than `channel_capacity` frames).  The links
-    // *between* workers are unbounded: with bounded links a pair of
-    // neighbours could block on sending to each other simultaneously (R
-    // traffic going right, acknowledgements and S traffic going left) and
-    // deadlock; admission control at the driver keeps the actual occupancy
-    // of the inner links small.
+    // pipeline by more than `ENTRY_FRAMES` frames).  The links *between*
+    // workers are unbounded: with bounded links a pair of neighbours
+    // could block on sending to each other simultaneously (R traffic
+    // going right, acknowledgements and S traffic going left) and
+    // deadlock; admission control at the driver keeps the actual
+    // occupancy of the inner links small.
     //
-    // Every data edge here is SPSC by construction, so under
-    // `Transport::Ring` (the default) the links are lock-free ring
-    // channels.  Ring consumers bind their wait set at construction (the
-    // lock-free notify path cannot look one up later), which is why the
-    // per-worker wait sets are created before any channel.
+    // Ring consumers bind their wait set at construction (the lock-free
+    // notify path cannot look one up later), which is why the per-worker
+    // wait sets are created before any channel.
     type FrameTx<R, S> = Sender<MessageBatch<R, S>>;
     type FrameRx<R, S> = Receiver<MessageBatch<R, S>>;
     let waitsets: Vec<WaitSet> = (0..n).map(|_| WaitSet::new()).collect();
-    let ring = options.transport == Transport::Ring;
-    let entry_link = |waiter: &WaitSet| -> (FrameTx<R, S>, FrameRx<R, S>) {
-        if ring {
-            spsc_bounded(options.channel_capacity, Some(waiter))
-        } else {
-            bounded(options.channel_capacity)
-        }
-    };
-    let inner_link = |waiter: &WaitSet| -> (FrameTx<R, S>, FrameRx<R, S>) {
-        if ring {
-            spsc_unbounded(options.ring_capacity, Some(waiter))
-        } else {
-            unbounded()
-        }
-    };
     let mut ltr_tx: Vec<Option<FrameTx<R, S>>> = Vec::with_capacity(n);
     let mut ltr_rx: Vec<Option<FrameRx<R, S>>> = Vec::with_capacity(n);
     let mut rtl_tx: Vec<Option<FrameTx<R, S>>> = Vec::with_capacity(n);
     let mut rtl_rx: Vec<Option<FrameRx<R, S>>> = Vec::with_capacity(n);
     for (k, waitset) in waitsets.iter().enumerate() {
         let (tx, rx) = if k == 0 {
-            entry_link(waitset)
+            spsc_bounded(ENTRY_FRAMES, Some(waitset))
         } else {
-            inner_link(waitset)
+            spsc_unbounded(RING_SLOTS, Some(waitset))
         };
         ltr_tx.push(Some(tx));
         ltr_rx.push(Some(rx));
         let (tx, rx) = if k == n - 1 {
-            entry_link(waitset)
+            spsc_bounded(ENTRY_FRAMES, Some(waitset))
         } else {
-            inner_link(waitset)
+            spsc_unbounded(RING_SLOTS, Some(waitset))
         };
         rtl_tx.push(Some(tx));
         rtl_rx.push(Some(rx));
@@ -214,54 +197,16 @@ where
     let driver_right_tx = rtl_tx[n - 1].take().expect("entry channel");
 
     // Per-worker result queues (Figure 15).  SPSC (one worker, the
-    // collector), so the ring transport covers them too; the collector
-    // polls on its vacuum interval rather than parking per result, so no
-    // wait set is bound (ring notifies then hit a set nobody waits on —
-    // a cheap no-op).
-    let mut result_tx: Vec<Sender<TimedResult<R, S>>> = Vec::with_capacity(n);
-    let mut result_rx: Vec<Receiver<TimedResult<R, S>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = if ring {
-            spsc_unbounded(options.ring_capacity, None)
-        } else {
-            unbounded()
-        };
-        result_tx.push(tx);
-        result_rx.push(rx);
-    }
-
-    // Frame-buffer flow-back (the per-worker arena's driver leg): each
-    // direction's sink node returns drained entry buffers to the driver's
-    // batcher over a small best-effort ring.  Pure capacity recycling —
-    // a dropped or missing buffer only costs an allocation.
-    const RECYCLE_DEPTH: usize = 8;
-    let (recycle_ltr_tx, recycle_ltr_rx) = spsc_bounded(RECYCLE_DEPTH, None);
-    let (recycle_rtl_tx, recycle_rtl_rx) = spsc_bounded(RECYCLE_DEPTH, None);
-    // Surplus daisy chains between neighbours: buffers end their life at
-    // whatever node their last message terminates on (acknowledgement
-    // frames at the rightmost node, expedition-end markers at the home
-    // node), while new frames originate at the opposite end — so surplus
-    // LTR buffers must migrate leftward to node 0 and surplus RTL buffers
-    // rightward to node n−1, hop by hop (each hop is SPSC by
-    // construction; a single ring would be MPSC).  Middle nodes relay
-    // opportunistically, one buffer per handled frame.
-    let mut xfer_ltr_tx: Vec<Option<_>> = Vec::new(); // node k+1 -> node k
-    let mut xfer_ltr_rx: Vec<Option<_>> = Vec::new();
-    let mut xfer_rtl_tx: Vec<Option<_>> = Vec::new(); // node k -> node k+1
-    let mut xfer_rtl_rx: Vec<Option<_>> = Vec::new();
-    for _ in 0..n.saturating_sub(1) {
-        let (lt, lr) = spsc_bounded(RECYCLE_DEPTH, None);
-        let (rt, rr) = spsc_bounded(RECYCLE_DEPTH, None);
-        xfer_ltr_tx.push(Some(lt));
-        xfer_ltr_rx.push(Some(lr));
-        xfer_rtl_tx.push(Some(rt));
-        xfer_rtl_rx.push(Some(rr));
-    }
+    // collector), so they are rings too; the collector polls on its
+    // vacuum interval rather than parking per result, so no wait set is
+    // bound (ring notifies then hit a set nobody waits on — a cheap
+    // no-op).
+    let (result_tx, result_rx): (Vec<Sender<TimedResult<R, S>>>, Vec<_>) =
+        (0..n).map(|_| spsc_unbounded(RING_SLOTS, None)).unzip();
 
     // ---------------- workers (shared exec machinery) ----------------
     let mut worker_handles = Vec::with_capacity(n);
-    let mut waitsets_iter = waitsets.into_iter();
-    for (k, node) in nodes.into_iter().enumerate() {
+    for ((k, node), waitset) in nodes.into_iter().enumerate().zip(waitsets) {
         let left_rx = ltr_rx[k].take().expect("left input");
         let right_rx = rtl_rx[k].take().expect("right input");
         let to_right = if k + 1 < n {
@@ -280,32 +225,12 @@ where
             // the instrumentation would tax every frame for nothing.
             busy_ns: None,
         };
-        let mut wiring = WorkerWiring::new(waitsets_iter.next().expect("one wait set per worker"));
-        wiring.pin_core = core_map.as_ref().map(|m| m.core(k));
-        if k + 1 == n {
-            wiring.recycle_ltr = Some(recycle_ltr_tx.clone());
-        }
-        if k == 0 {
-            wiring.recycle_rtl = Some(recycle_rtl_tx.clone());
-        }
-        // Daisy-chain legs: LTR surplus flows leftward (node k sends on
-        // edge k−1, receives on edge k), RTL surplus rightward (sends on
-        // edge k, receives on edge k−1).
-        if k > 0 {
-            wiring.xfer_ltr = xfer_ltr_tx[k - 1].take();
-            wiring.refill_rtl = xfer_rtl_rx[k - 1].take();
-        }
-        if k + 1 < n {
-            wiring.refill_ltr = xfer_ltr_rx[k].take();
-            wiring.xfer_rtl = xfer_rtl_tx[k].take();
-        }
+        let pin_core = core_map.as_ref().map(|m| m.core(k));
         worker_handles.push(Worker::spawn(
-            k, n, node, left_rx, right_rx, to_left, to_right, shared, false, wiring,
+            k, n, node, left_rx, right_rx, to_left, to_right, shared, false, waitset, pin_core,
         ));
     }
     drop(result_tx);
-    drop(recycle_ltr_tx);
-    drop(recycle_rtl_tx);
 
     // ---------------- collector (shared exec machinery) ----------------
     let collector_handle = spawn_collector(
@@ -333,8 +258,6 @@ where
     // every park of the pacing wait applies the shared flush policy (see
     // `exec::FlushPolicy`), so no timer thread and no lock is needed.
     let mut entry = EntryState::new(driver_left_tx, driver_right_tx, Arc::clone(&hwm), options);
-    entry.left.set_recycle(recycle_ltr_rx);
-    entry.right.set_recycle(recycle_rtl_rx);
     entry.set_stream_lengths(schedule.r_count(), schedule.s_count());
     let slice = flush_slice(options);
     let mut idle_wakeups = 0u64;
@@ -345,22 +268,18 @@ where
             cancelled = true;
             break;
         }
-        if let Pacing::RealTime { .. } = options.pacing {
-            let deadline =
-                started + options.stream_to_wall(event.at.saturating_since(Timestamp::ZERO));
-            if pace_until(deadline, slice, &cancel, || {
-                entry.poll(clock.now(), &in_flight)
-            }) {
-                cancelled = true;
-                break;
-            }
+        if pace_until(clock.deadline(event.at), slice, &cancel, || {
+            entry.poll(clock.now(), &in_flight)
+        }) {
+            cancelled = true;
+            break;
         }
         clock.note_injection(event.at);
         entry.inject(event, &injector, &in_flight);
     }
     // Tail flush: whatever is still pending (trailing expiries).
     entry.flush_both(&in_flight);
-    let mut batch_allocs = entry.left.fresh_allocs + entry.right.fresh_allocs;
+    let mut batch_allocs = entry.frames_injected;
 
     // Wait for quiescence: no frame anywhere in the pipeline.
     in_flight.wait_for_quiescence();
@@ -390,7 +309,7 @@ where
         counters,
         latency: collected.latency,
         latency_series: collected.series.finish(),
-        elapsed: started.elapsed(),
+        elapsed: clock.elapsed(),
         punctuation_count: collected.punctuation_count,
         arrivals_per_stream: entry.arrivals(),
         frames_injected: entry.frames_injected,
@@ -404,14 +323,16 @@ where
 mod tests {
     use super::*;
     use crate::llhj_nodes;
+    use crate::options::Pacing;
     use llhj_core::driver::DriverSchedule;
     use llhj_core::homing::RoundRobin;
     use llhj_core::message::{LeftToRight, NodeOutput, RightToLeft};
     use llhj_core::predicate::FnPredicate;
     use llhj_core::result::ResultTuple;
-    use llhj_core::time::TimeDelta;
+    use llhj_core::time::{TimeDelta, Timestamp};
     use llhj_core::window::WindowSpec;
     use llhj_sync::thread;
+    use llhj_sync::time::Instant;
 
     #[test]
     #[should_panic(expected = "invalid PipelineOptions")]

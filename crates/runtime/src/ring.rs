@@ -309,21 +309,6 @@ impl<T> Ring<T> {
         Ok(())
     }
 
-    /// Best-effort non-blocking send: never parks, never spills.  Used by
-    /// the arena flow-back edges, where dropping a recycled buffer on a
-    /// full ring is cheaper than any waiting.
-    pub(crate) fn try_send(&self, item: T) -> Result<(), T> {
-        // ordering: Acquire — see `send`.
-        if !self.receiver_alive.load(Ordering::Acquire) {
-            return Err(item);
-        }
-        let res = self.try_push(item);
-        if res.is_ok() {
-            self.wake.notify();
-        }
-        res
-    }
-
     /// Pops the next frame in FIFO order: ring first, spillway second.
     fn pop_any(&self) -> Option<T> {
         if let Some(item) = self.try_pop() {

@@ -594,7 +594,7 @@ fn checkpoint_without_the_fence_tears_the_cut() {
 /// slots carrying 4 frames must overflow into the spillway, and the
 /// consumer must still see strict FIFO order across the ring/spillway
 /// boundary, under every schedule, with no lost wakeups.  This is the
-/// inner-chain-edge configuration (`Transport::Ring` between workers).
+/// configuration of every inner chain edge (worker → worker).
 #[test]
 fn ring_spsc_delivers_in_order_without_lost_wakeups() {
     let report = explore(opts(), || {

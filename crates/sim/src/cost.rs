@@ -34,11 +34,12 @@ pub struct CostModel {
     /// Core-to-core messaging latency for one hop.
     pub hop_latency_ns: f64,
     /// Extra hop latency when the two endpoint threads are *not* pinned to
-    /// their own cores: scheduler migrations keep invalidating the ring's
-    /// cache lines, so an unpinned hop pays `hop_latency_ns +
-    /// per_hop_contended_ns` while a pinned hop pays `hop_latency_ns`
-    /// alone.  Defaults to 0 so the existing calibration (which never
-    /// modelled placement) is bit-for-bit unchanged.
+    /// their own cores: scheduler migrations keep moving the link's
+    /// cursor and frame cache lines between cores, so an unpinned hop
+    /// pays `hop_latency_ns + per_hop_contended_ns` while a pinned hop
+    /// pays `hop_latency_ns` alone.  Defaults to 0 so the existing
+    /// calibration (which never modelled placement) is bit-for-bit
+    /// unchanged.
     pub per_hop_contended_ns: f64,
     /// Extra cost per handled message when punctuation generation is on
     /// (high-water-mark maintenance at the pipeline ends).

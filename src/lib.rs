@@ -71,7 +71,7 @@ pub mod prelude {
         run_elastic_pipeline, run_mesh_pipeline, run_pipeline, AutoscaleOptions, CancelToken,
         CheckpointConfig, ElasticOutcome, ElasticPipeline, MeshOutcome, MeshPipeline, MetricsBus,
         NodeFactory, Pacing, PipelineOptions, ReshardEvent, ResizeEvent, RunOutcome, ScalePipeline,
-        ScalePlan, ScaleStep, Transport,
+        ScalePlan, ScaleStep,
     };
     pub use llhj_sim::{
         max_sustainable_mesh_rate, recover_mesh_simulation, recover_simulation,

@@ -15,6 +15,13 @@
 //! — amply true for every granularity swept here, and deliberately
 //! violated by the stalled entry node in
 //! `flush_interval_bounds_the_batching_delay`'s giant-frame run.
+//!
+//! The seeded sweeps at the end hold the lock-free ring links to the same
+//! standard: both paper workloads at batch 1/16/64 over seeded chain
+//! widths, a chain grown and shrunk mid-run (the resize fences drain,
+//! detach and re-wire ring edges at the chain boundaries — the window
+//! where a transport bug would lose or duplicate a frame), and a run with
+//! `pin_cores` on — every one byte-identical to the Kang oracle.
 
 use handshake_join::baselines::run_kang;
 use handshake_join::prelude::*;
@@ -23,6 +30,7 @@ use llhj_core::result::ResultTuple;
 use llhj_core::stats::NodeCounters;
 use llhj_sync::sync::{Arc, Mutex};
 use llhj_sync::time::Duration;
+use llhj_workload::WorkloadRng;
 
 type Out = NodeOutput<RTuple, STuple, ResultTuple<RTuple, STuple>>;
 
@@ -311,4 +319,156 @@ fn light_load_sends_about_one_frame_per_arrival() {
         median.as_micros() * 4 < flush_interval.as_micros(),
         "median result latency {median} should sit far below the {flush_interval} bound"
     );
+}
+
+fn seeded_band_schedule(seed: u64) -> llhj_core::DriverSchedule<RTuple, STuple> {
+    let workload = BandJoinWorkload::scaled(400.0, TimeDelta::from_millis(400), 220, seed);
+    band_join_schedule(
+        &workload,
+        WindowSpec::Time(TimeDelta::from_millis(150)),
+        WindowSpec::Time(TimeDelta::from_millis(150)),
+    )
+}
+
+fn seeded_equi_schedule(seed: u64) -> llhj_core::DriverSchedule<RTuple, STuple> {
+    let workload = EquiJoinWorkload {
+        rate_per_sec: 400.0,
+        duration: TimeDelta::from_millis(400),
+        domain: 60,
+        seed,
+    };
+    equi_join_schedule(
+        &workload,
+        WindowSpec::Time(TimeDelta::from_millis(150)),
+        WindowSpec::Time(TimeDelta::from_millis(150)),
+    )
+}
+
+fn sweep_options(batch_size: usize) -> PipelineOptions {
+    PipelineOptions {
+        batch_size,
+        pacing: Pacing::RealTime { speedup: 4.0 },
+        ..Default::default()
+    }
+}
+
+/// Fixed pipelines: both predicates, batch 1/16/64, seeded widths —
+/// every combination byte-identical to the oracle.
+#[test]
+fn batched_runtime_matches_kang_on_both_workloads_across_widths() {
+    let mut rng = WorkloadRng::seed_from_u64(0x51_C0DE);
+    for case in 0..4u64 {
+        let seed = 0x51EED ^ case;
+        let nodes = rng.gen_range_u32(2, 5) as usize;
+        let band = seeded_band_schedule(seed);
+        let equi = seeded_equi_schedule(seed);
+        let band_oracle = run_kang(BandPredicate::default(), &band).result_keys();
+        let equi_oracle = run_kang(EquiXaPredicate, &equi).result_keys();
+        assert!(
+            band_oracle.len() > 10,
+            "case {case}: degenerate band workload"
+        );
+        assert!(
+            equi_oracle.len() > 10,
+            "case {case}: degenerate equi workload"
+        );
+
+        for batch_size in [1usize, 16, 64] {
+            let label = format!("case {case}, {nodes} nodes, batch {batch_size}");
+            let pred = BandPredicate::default();
+            let band_run = run_pipeline(
+                llhj_nodes(nodes, pred),
+                pred,
+                RoundRobin,
+                &band,
+                &sweep_options(batch_size),
+            );
+            assert_eq!(
+                band_run.result_keys(),
+                band_oracle,
+                "{label}: band vs oracle"
+            );
+
+            let equi_run = run_pipeline(
+                llhj_indexed_nodes(nodes, EquiXaPredicate),
+                EquiXaPredicate,
+                HashKey,
+                &equi,
+                &sweep_options(batch_size),
+            );
+            assert_eq!(
+                equi_run.result_keys(),
+                equi_oracle,
+                "{label}: equi vs oracle"
+            );
+        }
+    }
+}
+
+/// Elastic pipelines resized mid-run: a grow and a shrink at seeded
+/// points, byte-identical to the oracle.
+#[test]
+fn elastic_grow_and_shrink_mid_run_matches_kang() {
+    let mut rng = WorkloadRng::seed_from_u64(0xE1A_571C);
+    for case in 0..3u64 {
+        let schedule = seeded_band_schedule(0xB4D ^ case);
+        let events = schedule.events().len();
+        let lo = events / 10;
+        let hi = events * 9 / 10;
+        let a = lo + rng.gen_range_u32(0, (hi - lo) as u32 - 1) as usize;
+        let b = lo + rng.gen_range_u32(0, (hi - lo) as u32 - 1) as usize;
+        let (grow_at, shrink_at) = (a.min(b), a.max(b).max(a.min(b) + 1));
+        let plan = ScalePlan::new(vec![
+            ScaleStep {
+                after_events: grow_at,
+                target_nodes: 4,
+            },
+            ScaleStep {
+                after_events: shrink_at,
+                target_nodes: 2,
+            },
+        ]);
+        let pred = BandPredicate::default();
+        let oracle = run_kang(pred, &schedule).result_keys();
+
+        let opts = PipelineOptions {
+            batch_size: 16,
+            pacing: Pacing::RealTime { speedup: 1.0 },
+            ..Default::default()
+        };
+        let outcome = run_elastic_pipeline(
+            3,
+            llhj_factory(pred),
+            pred,
+            RoundRobin,
+            &schedule,
+            &plan,
+            &opts,
+        );
+        assert_eq!(
+            outcome.resize_log.len(),
+            2,
+            "case {case}: both resizes must have run"
+        );
+        assert_eq!(outcome.result_keys(), oracle, "case {case}: vs oracle");
+    }
+}
+
+/// `pin_cores` is placement, not semantics: results stay byte-identical
+/// whether pinning engages or (cores < threads) silently no-ops.
+#[test]
+fn pinned_run_is_byte_identical_to_unpinned() {
+    let pred = BandPredicate::default();
+    let schedule = seeded_band_schedule(0x1D_CA7);
+    let oracle = run_kang(pred, &schedule).result_keys();
+    for pin_cores in [false, true] {
+        let opts = PipelineOptions {
+            batch_size: 16,
+            pin_cores,
+            pacing: Pacing::RealTime { speedup: 4.0 },
+            ..Default::default()
+        };
+        let outcome = run_pipeline(llhj_nodes(3, pred), pred, RoundRobin, &schedule, &opts);
+        assert_eq!(outcome.result_keys(), oracle, "pin_cores = {pin_cores}");
+    }
 }
