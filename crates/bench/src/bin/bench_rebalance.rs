@@ -86,12 +86,10 @@ fn main() {
     let balanced = run(true);
     let cold = run(false);
 
-    // (No result-set equality here on purpose: this workload drives the
-    // chain far past saturation, where the simulator's virtual-time
-    // backlog exceeds the window span and expiry messages can overtake
-    // queued arrivals — the documented unpaced-mode caveat.  Exactness
-    // under paced conditions is what tests/elastic_scaling.rs pins; this
-    // binary measures the throughput story.)
+    // (No result-set check here: this binary measures the throughput
+    // story.  The simulator's expiry barrier keeps even this saturated
+    // run exact; tests/equivalence.rs and tests/elastic_scaling.rs pin
+    // exactness.)
     let trace = balanced.throughput_trace(BUCKET_NS);
     let tail: Vec<f64> = trace
         .iter()

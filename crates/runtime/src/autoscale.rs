@@ -36,10 +36,11 @@
 //! and is unit-tested there against synthetic metric traces.
 
 use crate::channel::WaitSet;
-use crate::elastic::{ElasticOutcome, ElasticPipeline, NodeFactory};
+use crate::elastic::{ElasticPipeline, NodeFactory};
 use crate::exec::StreamClock;
 use crate::metrics::MetricsBus;
 use crate::options::PipelineOptions;
+use crate::pipeline::RunOutcome;
 use llhj_core::driver::DriverSchedule;
 use llhj_core::homing::HomePolicy;
 use llhj_core::metrics::{
@@ -233,7 +234,7 @@ pub fn run_autoscaled_pipeline<R, S, P, H>(
     schedule: &DriverSchedule<R, S>,
     autoscale: &AutoscaleOptions,
     options: &PipelineOptions,
-) -> (ElasticOutcome<R, S>, AutoscaleReport)
+) -> (RunOutcome<R, S>, AutoscaleReport)
 where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
@@ -250,18 +251,11 @@ where
 mod tests {
     use super::*;
     use crate::elastic::llhj_factory;
+    use crate::fixtures::eq_pred;
     use crate::options::Pacing;
     use llhj_core::homing::RoundRobin;
-    use llhj_core::predicate::FnPredicate;
     use llhj_core::time::Timestamp;
     use llhj_core::window::WindowSpec;
-
-    fn eq_pred() -> FnPredicate<fn(&u32, &u32) -> bool> {
-        fn eq(r: &u32, s: &u32) -> bool {
-            r == s
-        }
-        FnPredicate(eq as fn(&u32, &u32) -> bool)
-    }
 
     /// A steady, in-band workload: the controller must hold the width for
     /// the whole run (no spurious resizes from sampling noise), and the

@@ -11,15 +11,14 @@
 //!
 //! Two transports live behind the one `Sender`/`Receiver` API:
 //!
-//! * **Mutex** ([`bounded`] / [`unbounded`]): a `Mutex<VecDeque>` plus two
-//!   condition variables (consumer wake-up and, for bounded channels,
-//!   producer backpressure).  Senders are cloneable (multiple producers),
-//!   receivers are unique.  This is the transport of the genuinely
-//!   multi-producer edges: the elastic result channel and the command
-//!   mailboxes.
+//! * **Mutex** ([`unbounded`]): a `Mutex<VecDeque>` plus a condition
+//!   variable for consumer wake-up.  Senders are cloneable (multiple
+//!   producers), receivers are unique.  This is the transport of the
+//!   genuinely multi-producer edges: the fence protocol's confirmations.
 //! * **Ring** ([`spsc_bounded`] / [`spsc_unbounded`]): the lock-free ring
-//!   buffer in [`crate::ring`], used for the chain's data edges, which
-//!   are single-producer/single-consumer by construction.  The consumer's
+//!   buffer in [`crate::ring`], used for every edge with one producer:
+//!   the chain's data links, the per-worker result queues and the worker
+//!   command mailboxes.  The consumer's
 //!   [`WaitSet`] is bound at construction (the ring's notify path must
 //!   not take a lock to look the waiter up), so `set_waiter` on a ring
 //!   receiver only *re-asserts* the binding.
@@ -219,7 +218,6 @@ pub struct SendError<T>(pub T);
 
 struct State<T> {
     queue: VecDeque<T>,
-    capacity: Option<usize>,
     senders: usize,
     receiver_alive: bool,
     /// Wait set to poke whenever a frame arrives or the channel
@@ -230,7 +228,6 @@ struct State<T> {
 struct Shared<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
-    not_full: Condvar,
 }
 
 /// The transport behind a channel endpoint: the generic mutex queue or
@@ -259,19 +256,27 @@ pub struct Receiver<T> {
     flavor: Flavor<T>,
 }
 
-/// Creates a bounded channel: `send` blocks while `capacity` frames are
-/// queued, which is how the driver experiences backpressure from the
-/// pipeline.
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    channel(Some(capacity.max(1)))
-}
-
-/// Creates an unbounded channel: `send` never blocks.  Used for the
-/// multi-producer edges (the elastic result channel, the command
-/// mailboxes, the fence protocol's confirmations), where no producer may
-/// wait on the consumer.
+/// Creates an unbounded mutex channel: `send` never blocks.  Used for
+/// the multi-producer edges (the fence protocol's confirmations), where
+/// no producer may wait on the consumer.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    channel(None)
+    let shared = Arc::new(Shared {
+        state: Mutex::new(State {
+            queue: VecDeque::new(),
+            senders: 1,
+            receiver_alive: true,
+            waiter: None,
+        }),
+        not_empty: Condvar::new(),
+    });
+    (
+        Sender {
+            flavor: Flavor::Mutex(Arc::clone(&shared)),
+        },
+        Receiver {
+            flavor: Flavor::Mutex(shared),
+        },
+    )
 }
 
 /// Creates a bounded lock-free SPSC ring channel (`capacity` rounded up
@@ -285,8 +290,8 @@ pub fn spsc_bounded<T>(capacity: usize, waiter: Option<&WaitSet>) -> (Sender<T>,
 /// Creates an unbounded ring channel: a lock-free ring of `slots` slots
 /// backed by a mutex spillway that absorbs bursts, so `send` never
 /// blocks.  The transport for the links *between* workers (where mutual
-/// blocking of two neighbours could deadlock) and for the per-worker
-/// result queues.
+/// blocking of two neighbours could deadlock), the per-worker result
+/// queues and the worker command mailboxes.
 pub fn spsc_unbounded<T>(slots: usize, waiter: Option<&WaitSet>) -> (Sender<T>, Receiver<T>) {
     ring_channel(slots, false, waiter)
 }
@@ -307,30 +312,8 @@ fn ring_channel<T>(
     )
 }
 
-fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            queue: VecDeque::new(),
-            capacity,
-            senders: 1,
-            receiver_alive: true,
-            waiter: None,
-        }),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-    });
-    (
-        Sender {
-            flavor: Flavor::Mutex(Arc::clone(&shared)),
-        },
-        Receiver {
-            flavor: Flavor::Mutex(shared),
-        },
-    )
-}
-
 impl<T> Sender<T> {
-    /// Enqueues one frame, blocking while a bounded channel is full.
+    /// Enqueues one frame, blocking while a bounded ring is full.
     /// Returns the frame if the receiver has been dropped.
     pub fn send(&self, frame: T) -> Result<(), SendError<T>> {
         let shared = match &self.flavor {
@@ -338,16 +321,8 @@ impl<T> Sender<T> {
             Flavor::Mutex(shared) => shared,
         };
         let mut state = shared.state.lock().expect("channel poisoned");
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError(frame));
-            }
-            match state.capacity {
-                Some(cap) if state.queue.len() >= cap => {
-                    state = shared.not_full.wait(state).expect("channel poisoned");
-                }
-                _ => break,
-            }
+        if !state.receiver_alive {
+            return Err(SendError(frame));
         }
         state.queue.push_back(frame);
         // Notified under the channel lock to avoid cloning the waiter on
@@ -448,11 +423,7 @@ impl<T> Receiver<T> {
         };
         let mut state = shared.state.lock().expect("channel poisoned");
         match state.queue.pop_front() {
-            Some(frame) => {
-                drop(state);
-                shared.not_full.notify_one();
-                Ok(frame)
-            }
+            Some(frame) => Ok(frame),
             None if state.senders == 0 => Err(TryRecvError::Disconnected),
             None => Err(TryRecvError::Empty),
         }
@@ -468,8 +439,6 @@ impl<T> Receiver<T> {
         let mut state = shared.state.lock().expect("channel poisoned");
         loop {
             if let Some(frame) = state.queue.pop_front() {
-                drop(state);
-                shared.not_full.notify_one();
                 return Ok(frame);
             }
             if state.senders == 0 {
@@ -510,9 +479,6 @@ impl<T> Drop for Receiver<T> {
         let mut state = shared.state.lock().expect("channel poisoned");
         state.receiver_alive = false;
         state.queue.clear();
-        drop(state);
-        // Unblock producers stuck on a full bounded channel.
-        shared.not_full.notify_all();
     }
 }
 
@@ -536,7 +502,7 @@ mod tests {
 
     #[test]
     fn bounded_channel_applies_backpressure() {
-        let (tx, rx) = bounded(2);
+        let (tx, rx) = spsc_bounded(2, None);
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         // The third send must block until the consumer drains a slot.
@@ -574,9 +540,11 @@ mod tests {
 
     #[test]
     fn dropping_the_receiver_fails_sends_and_unblocks_producers() {
-        let (tx, rx) = bounded(1);
+        // The smallest ring holds two frames; the third send blocks.
+        let (tx, rx) = spsc_bounded(2, None);
         tx.send(1u32).unwrap();
-        let handle = thread::spawn(move || tx.send(2).is_err());
+        tx.send(2).unwrap();
+        let handle = thread::spawn(move || tx.send(3).is_err());
         thread::sleep(Duration::from_millis(10));
         drop(rx);
         assert!(handle.join().unwrap(), "send must fail after receiver drop");

@@ -1,19 +1,21 @@
-//! Elastic node-chain scaling: grow or shrink a live pipeline.
+//! The chain deployment: one [`ElasticPipeline`] per chain, fixed or
+//! elastic.
 //!
-//! [`crate::run_pipeline`] freezes the node count at construction time, so
-//! the paper's "sweep the core count" story (Section 6) can only be told by
-//! re-deploying.  This module makes the chain *elastic*: an
-//! [`ElasticPipeline`] owns the worker threads and channel wiring and can
-//! insert or retire join nodes **mid-run** without dropping or duplicating
-//! a single result.  The control path is the [`ScalePipeline`] trait:
-//! `grow(n)` / `shrink(n)` / `scale_to(n)`; the *closed-loop* path — a
-//! controller that decides when to call them — is [`crate::autoscale`].
+//! An [`ElasticPipeline`] owns the worker threads and channel wiring of
+//! one chain and can insert or retire join nodes **mid-run** without
+//! dropping or duplicating a single result.  Every chain deployment is
+//! one — [`crate::run_pipeline`] (never steered), a [`ScalePlan`], the
+//! [`crate::autoscale`] controller, each chain of a [`crate::mesh`] — and
+//! all of them replay through its one driver loop, which takes the plan,
+//! the controller and the checkpoint cadence as arguments.  The control
+//! path is the [`ScalePipeline`] trait: `grow(n)` / `shrink(n)` /
+//! `scale_to(n)`.
 //!
-//! The data plane (worker loop, entry batching, collector) is the shared
-//! machinery of the crate-private `exec` module — exactly the code the fixed pipeline
-//! runs.  This module only adds the control plane of a *resizable*
-//! deployment: owned (rather than scoped) workers behind handles, command
-//! mailboxes, and the reconfiguration protocol below.
+//! The data plane (worker loop, entry batching, collector) is the
+//! crate-private `exec` module; this module adds the control plane and
+//! the reconfiguration protocol below.  Only a chain built from a
+//! [`NodeFactory`] can be steered, and only such a chain pays for
+//! busy-time instrumentation (a clock-read pair per frame).
 //!
 //! ## The reconfiguration protocol
 //!
@@ -65,28 +67,28 @@
 use crate::autoscale::{AutoscaleOptions, Controller};
 use crate::channel::{spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
 use crate::exec::{
-    flush_slice, pace_until, spawn_collector, CensusReport, CollectorConfig, CoreMap, EntryState,
-    InFlight, ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared,
-    ENTRY_FRAMES, MIN_PACING_SLICE, RING_SLOTS,
+    flush_slice, pace_until, spawn_collector, CensusReport, CoreMap, EntryState, InFlight,
+    ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared, ENTRY_FRAMES,
+    MIN_PACING_SLICE, RING_SLOTS,
 };
 use crate::metrics::MetricsBus;
 use crate::options::{Pacing, PipelineOptions};
+use crate::pipeline::RunOutcome;
 use llhj_core::checkpoint::{
     load_latest_checkpoint, ChainCheckpoint, ChainCheckpointer, CheckpointError, CheckpointPayload,
     CheckpointStore, ReplayLog,
 };
-use llhj_core::driver::{DriverSchedule, Injector, StreamEvent};
+use llhj_core::driver::{DriverEvent, DriverSchedule, Injector, StreamEvent};
 use llhj_core::homing::HomePolicy;
 use llhj_core::message::MessageBatch;
 use llhj_core::metrics::AutoscaleReport;
 use llhj_core::node::PipelineNode;
 use llhj_core::predicate::JoinPredicate;
-use llhj_core::punctuation::{HighWaterMarks, OutputItem};
+use llhj_core::punctuation::HighWaterMarks;
 use llhj_core::rebalance::{EdgeTransfer, MigrationConstraint, RedistributionPlan};
 use llhj_core::result::TimedResult;
-use llhj_core::stats::{LatencyPoint, LatencySummary, NodeCounters};
+use llhj_core::stats::NodeCounters;
 use llhj_core::time::Timestamp;
-use llhj_core::tuple::SeqNo;
 use llhj_sync::sync::atomic::{AtomicBool, Ordering};
 use llhj_sync::sync::Arc;
 use llhj_sync::thread::JoinHandle;
@@ -243,63 +245,10 @@ pub struct ResizeEvent {
     pub fence_wall_micros: u64,
 }
 
-/// Everything measured during one elastic run.
-#[derive(Debug)]
-pub struct ElasticOutcome<R, S> {
-    /// All produced results, in collection order.
-    pub results: Vec<TimedResult<R, S>>,
-    /// The punctuated output stream (empty unless `punctuate` was set).
-    pub output: Vec<OutputItem<TimedResult<R, S>>>,
-    /// Work counters of the nodes alive at shutdown, indexed by node id.
-    pub counters: Vec<NodeCounters>,
-    /// Work counters of nodes retired by shrink operations, in retirement
-    /// order.
-    pub retired_counters: Vec<NodeCounters>,
-    /// Latency statistics (meaningful only for paced runs).
-    pub latency: LatencySummary,
-    /// Latency time series.
-    pub latency_series: Vec<LatencyPoint>,
-    /// Wall-clock time the run took.
-    pub elapsed: Duration,
-    /// Number of punctuations emitted.
-    pub punctuation_count: u64,
-    /// Number of R/S arrivals injected.
-    pub arrivals_per_stream: (usize, usize),
-    /// Number of frames the driver injected into the pipeline ends.
-    pub frames_injected: u64,
-    /// Idle wake-ups accumulated across all workers (alive and retired).
-    pub idle_wakeups: u64,
-    /// Every reconfiguration the pipeline went through, in order.
-    pub resize_log: Vec<ResizeEvent>,
-    /// Final chain width.
-    pub nodes: usize,
-    /// True if the run was interrupted by [`PipelineOptions::cancel`].
-    pub cancelled: bool,
-}
-
-impl<R, S> ElasticOutcome<R, S> {
-    /// Sorted `(r_seq, s_seq)` result keys for comparison with the oracle.
-    pub fn result_keys(&self) -> Vec<(SeqNo, SeqNo)> {
-        let mut keys: Vec<_> = self.results.iter().map(|t| t.result.key()).collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Total predicate evaluations across all workers, retired included.
-    pub fn total_comparisons(&self) -> u64 {
-        self.counters
-            .iter()
-            .chain(self.retired_counters.iter())
-            .map(|c| c.comparisons)
-            .sum()
-    }
-}
-
 /// A live, resizable handshake-join pipeline.
 ///
-/// Unlike [`crate::run_pipeline`] (fixed chain), the elastic pipeline owns
-/// its workers and wiring behind a handle, so the chain can be resized
-/// between schedule events via [`ScalePipeline`].  Use
+/// The pipeline owns its workers and wiring behind a handle, so the chain
+/// can be resized between schedule events via [`ScalePipeline`].  Use
 /// [`run_elastic_pipeline`] for the common replay-with-plan case,
 /// [`crate::autoscale::run_autoscaled_pipeline`] for the closed loop, or
 /// drive [`ElasticPipeline::run_schedule`] / [`ScalePipeline::scale_to`] /
@@ -313,10 +262,15 @@ where
 {
     predicate: P,
     policy: H,
-    factory: NodeFactory<R, S>,
-    /// The node type's migration semantics, probed from the factory once:
-    /// the redistribution planner clamps flows the node type forbids.
+    /// Builds the nodes a grow adds; `None` for a chain deployed from
+    /// given nodes ([`crate::run_pipeline`]), which is never steered.
+    factory: Option<NodeFactory<R, S>>,
+    /// The node type's migration semantics, read from the first node: the
+    /// redistribution planner clamps flows the node type forbids.
     constraint: MigrationConstraint,
+    /// Whether every node supports state migration — required by a
+    /// resize, a checkpoint and a reshard, not by a chain that only runs.
+    migratable: bool,
     options: PipelineOptions,
     workers: Vec<WorkerHandle<R, S>>,
     entry: EntryState<R, S>,
@@ -326,17 +280,20 @@ where
     stop_signal: WaitSet,
     hwm: Arc<HighWaterMarks>,
     metrics: Arc<MetricsBus>,
-    result_tx: Option<Sender<TimedResult<R, S>>>,
+    /// Hands each new worker's result ring to the collector.
+    collector_rings: Sender<Receiver<TimedResult<R, S>>>,
     collector: Option<JoinHandle<crate::exec::CollectorOutcome<R, S>>>,
     injector: Injector<R, S, P, H>,
     resize_log: Vec<ResizeEvent>,
     retired_counters: Vec<NodeCounters>,
     retired_idle_wakeups: u64,
+    retired_batch_allocs: u64,
     migration_stall: Option<Duration>,
     cancelled: bool,
-    /// Core placement for worker/collector threads; `None` when pinning is
-    /// off or unavailable.  The elastic driver itself stays unpinned: it
-    /// is the caller's thread, and resizes change its working set anyway.
+    /// Core placement for worker/collector threads (and the driver of a
+    /// chain that is never steered); `None` when pinning is off or
+    /// unavailable.  A steerable chain's driver stays unpinned: it is the
+    /// caller's thread, and resizes change its working set anyway.
     core_map: Option<CoreMap>,
     /// Next pin slot to hand a newly spawned worker (grown workers keep
     /// taking fresh slots; the map wraps modulo the core count).
@@ -351,8 +308,9 @@ where
     H: HomePolicy + Clone,
 {
     /// Deploys an elastic pipeline of `initial_nodes` nodes built by
-    /// `factory`.  Every node the factory produces must support state
-    /// migration ([`PipelineNode::supports_migration`]).
+    /// `factory`.  Resizes, checkpoints and reshards require every node
+    /// the factory produces to support state migration
+    /// ([`PipelineNode::supports_migration`]).
     pub fn new(
         initial_nodes: usize,
         factory: NodeFactory<R, S>,
@@ -375,72 +333,96 @@ where
         options: PipelineOptions,
         clock: Arc<StreamClock>,
     ) -> Self {
-        assert!(initial_nodes > 0, "pipeline needs at least one node");
+        let nodes = (0..initial_nodes)
+            .map(|k| factory(k, initial_nodes))
+            .collect();
+        Self::deploy(nodes, Some(factory), predicate, policy, options, clock)
+    }
+
+    /// Deploys a chain of the given nodes, one per position, that is never
+    /// steered: the deployment behind [`crate::run_pipeline`].  The nodes
+    /// need not support migration, and no busy time is instrumented.
+    pub(crate) fn from_nodes(
+        nodes: Vec<Box<dyn PipelineNode<R, S>>>,
+        predicate: P,
+        policy: H,
+        options: PipelineOptions,
+    ) -> Self {
+        let clock = Arc::new(StreamClock::new(options.pacing));
+        Self::deploy(nodes, None, predicate, policy, options, clock)
+    }
+
+    fn deploy(
+        nodes: Vec<Box<dyn PipelineNode<R, S>>>,
+        factory: Option<NodeFactory<R, S>>,
+        predicate: P,
+        policy: H,
+        options: PipelineOptions,
+        clock: Arc<StreamClock>,
+    ) -> Self {
+        let n = nodes.len();
+        assert!(n > 0, "pipeline needs at least one node");
         options
             .validate()
             .unwrap_or_else(|err| panic!("invalid PipelineOptions: {err}"));
 
-        let in_flight = Arc::new(InFlight::new());
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_signal = WaitSet::new();
         let hwm = HighWaterMarks::new();
-        let metrics = Arc::new(MetricsBus::new());
-        let (result_tx, result_rx) = unbounded();
+        let (collector_rings, joining_rings) = spsc_unbounded(RING_SLOTS, None);
 
-        // Channel chain, exactly as in the fixed runtime: bounded entry
-        // rings (driver backpressure), unbounded inner rings (two
-        // neighbours may send to each other simultaneously).  The wait
-        // sets are created first — ring channels bind their consumer's
-        // wait set at construction.
-        let n = initial_nodes;
+        // Channel wiring: ltr[k] is node k's left input, rtl[k] its right
+        // input; every link carries MessageBatch frames over a lock-free
+        // SPSC ring.  The two rings entering the chain from the driver are
+        // bounded, so the driver can never run ahead of the chain by more
+        // than `ENTRY_FRAMES` frames.  The links *between* workers are
+        // unbounded: two neighbours may send to each other at the same
+        // time (R traffic going right, S traffic going left), and bounded
+        // links could deadlock them; admission control at the driver keeps
+        // the inner links short.  The wait sets are created first — ring
+        // channels bind their consumer's wait set at construction.
         let waitsets: Vec<WaitSet> = (0..n).map(|_| WaitSet::new()).collect();
-        let mut ltr_tx: Vec<Option<Sender<Frame<R, S>>>> = Vec::with_capacity(n);
-        let mut ltr_rx: Vec<Option<Receiver<Frame<R, S>>>> = Vec::with_capacity(n);
-        let mut rtl_tx: Vec<Option<Sender<Frame<R, S>>>> = Vec::with_capacity(n);
-        let mut rtl_rx: Vec<Option<Receiver<Frame<R, S>>>> = Vec::with_capacity(n);
-        for (k, waitset) in waitsets.iter().enumerate() {
-            let (tx, rx) = if k == 0 {
-                spsc_bounded(ENTRY_FRAMES, Some(waitset))
+        let link = |k: usize, entry: bool| {
+            if entry {
+                spsc_bounded(ENTRY_FRAMES, Some(&waitsets[k]))
             } else {
-                spsc_unbounded(RING_SLOTS, Some(waitset))
-            };
-            ltr_tx.push(Some(tx));
-            ltr_rx.push(Some(rx));
-            let (tx, rx) = if k == n - 1 {
-                spsc_bounded(ENTRY_FRAMES, Some(waitset))
-            } else {
-                spsc_unbounded(RING_SLOTS, Some(waitset))
-            };
-            rtl_tx.push(Some(tx));
-            rtl_rx.push(Some(rx));
-        }
-        let left_tx = ltr_tx[0].take().expect("entry channel");
-        let right_tx = rtl_tx[n - 1].take().expect("entry channel");
+                spsc_unbounded(RING_SLOTS, Some(&waitsets[k]))
+            }
+        };
+        let (ltr_tx, ltr_rx): (Vec<Sender<Frame<R, S>>>, Vec<_>) =
+            (0..n).map(|k| link(k, k == 0)).unzip();
+        let (mut rtl_tx, rtl_rx): (Vec<Sender<Frame<R, S>>>, Vec<_>) =
+            (0..n).map(|k| link(k, k + 1 == n)).unzip();
+        let right_tx = rtl_tx.pop().expect("entry channel");
+        let mut ltr_tx = ltr_tx.into_iter();
+        let left_tx = ltr_tx.next().expect("entry channel");
 
-        // Workers plus collector; the driver (caller's thread) stays
-        // unpinned on the elastic path.
-        let core_map = CoreMap::new(options.pin_cores, n + 1, options.pin_core_offset);
+        // Workers take pin slots 0..n-1 and the collector slot n; the
+        // driver of a chain that is never steered takes slot n + 1.
+        let threads = n + 1 + usize::from(factory.is_none());
+        let core_map = CoreMap::new(options.pin_cores, threads, options.pin_core_offset);
 
-        let constraint = factory(0, 1).migration_constraint();
+        let constraint = nodes[0].migration_constraint();
+        let migratable = nodes.iter().all(|node| node.supports_migration());
         let mut pipeline = ElasticPipeline {
             predicate: predicate.clone(),
             policy: policy.clone(),
             factory,
             constraint,
+            migratable,
             workers: Vec::with_capacity(n),
             entry: EntryState::new(left_tx, right_tx, Arc::clone(&hwm), &options),
-            in_flight,
+            in_flight: Arc::new(InFlight::new()),
             clock,
-            stop,
-            stop_signal,
+            stop: Arc::new(AtomicBool::new(false)),
+            stop_signal: WaitSet::new(),
             hwm,
-            metrics,
-            result_tx: Some(result_tx),
+            metrics: Arc::new(MetricsBus::new()),
+            collector_rings,
             collector: None,
             injector: Injector::new(predicate, policy, n),
             resize_log: Vec::new(),
             retired_counters: Vec::new(),
             retired_idle_wakeups: 0,
+            retired_batch_allocs: 0,
             migration_stall: None,
             cancelled: false,
             core_map,
@@ -448,32 +430,29 @@ where
             options,
         };
 
-        let mut waitsets_iter = waitsets.into_iter();
-        for k in 0..n {
-            let left_rx = ltr_rx[k].take().expect("left input");
-            let right_rx = rtl_rx[k].take().expect("right input");
-            let to_right = if k + 1 < n {
-                ltr_tx[k + 1].take()
-            } else {
-                None
-            };
-            let to_left = if k > 0 { rtl_tx[k - 1].take() } else { None };
-            let waitset = waitsets_iter.next().expect("one wait set per worker");
-            let handle = pipeline.spawn_worker(k, n, left_rx, right_rx, to_left, to_right, waitset);
+        // Node k sends right over ltr[k + 1] and left over rtl[k - 1].
+        let to_left = std::iter::once(None).chain(rtl_tx.into_iter().map(Some));
+        let to_right = ltr_tx.map(Some).chain(std::iter::once(None));
+        let wiring = nodes
+            .into_iter()
+            .zip(waitsets)
+            .zip(ltr_rx.into_iter().zip(rtl_rx));
+        for (k, (((node, waitset), (left_rx, right_rx)), (to_left, to_right))) in
+            wiring.zip(to_left.zip(to_right)).enumerate()
+        {
+            let handle =
+                pipeline.spawn_worker(k, n, node, left_rx, right_rx, to_left, to_right, waitset);
             pipeline.workers.push(handle);
         }
+        let pin_core = pipeline.take_pin_slot();
         let collector = spawn_collector(
-            vec![result_rx],
+            joining_rings,
             Arc::clone(&pipeline.stop),
             pipeline.stop_signal.clone(),
             Arc::clone(&pipeline.hwm),
-            Some(Arc::clone(&pipeline.metrics)),
-            CollectorConfig {
-                punctuate: pipeline.options.punctuate,
-                interval: pipeline.options.collect_interval,
-                latency_bucket: pipeline.options.latency_bucket,
-                pin_core: pipeline.take_pin_slot(),
-            },
+            Arc::clone(&pipeline.metrics),
+            &pipeline.options,
+            pin_core,
         );
         pipeline.collector = Some(collector);
         pipeline.metrics.set_nodes(n);
@@ -495,10 +474,6 @@ where
     /// dashboards may too).
     pub fn metrics_bus(&self) -> Arc<MetricsBus> {
         Arc::clone(&self.metrics)
-    }
-
-    pub(crate) fn stream_clock(&self) -> Arc<StreamClock> {
-        Arc::clone(&self.clock)
     }
 
     /// Test instrumentation: stalls every segment absorption by `stall`,
@@ -529,61 +504,75 @@ where
         Some(core)
     }
 
-    /// Spawns one worker on `waitset`.  The wait set must be the one every
-    /// ring channel handed to this worker was constructed with — the
-    /// channels bind it at construction, and `Worker::spawn`'s
-    /// `set_waiter` calls assert the binding.
+    /// Spawns one worker running `node` on `waitset`.  The wait set must
+    /// be the one every ring channel handed to this worker was
+    /// constructed with — the channels bind it at construction, and
+    /// `Worker::spawn`'s `set_waiter` calls assert the binding.  The
+    /// worker's result ring joins the collector before the worker starts.
     #[allow(clippy::too_many_arguments)]
     fn spawn_worker(
         &mut self,
         id: usize,
         nodes: usize,
+        node: Box<dyn PipelineNode<R, S>>,
         left_rx: Receiver<Frame<R, S>>,
         right_rx: Receiver<Frame<R, S>>,
         to_left: Option<Sender<Frame<R, S>>>,
         to_right: Option<Sender<Frame<R, S>>>,
         waitset: WaitSet,
     ) -> WorkerHandle<R, S> {
-        let node = (self.factory)(id, nodes);
+        // SPSC (one worker, the collector), so a ring; the collector polls
+        // on its vacuum interval rather than parking per result, so no
+        // wait set is bound.
+        let (results, collected) = spsc_unbounded(RING_SLOTS, None);
         assert!(
-            node.supports_migration(),
-            "elastic pipelines require nodes that support state migration \
-             (node {id} does not)"
+            self.collector_rings.send(collected).is_ok(),
+            "the collector outlives every worker"
         );
         let shared = WorkerShared {
             hwm: Arc::clone(&self.hwm),
             clock: Arc::clone(&self.clock),
             stop: Arc::clone(&self.stop),
             in_flight: Arc::clone(&self.in_flight),
-            results: self
-                .result_tx
-                .as_ref()
-                .expect("workers spawn before finish")
-                .clone(),
-            busy_ns: Some(self.metrics.register_node(id)),
+            results,
+            busy_ns: self
+                .factory
+                .is_some()
+                .then(|| self.metrics.register_node(id)),
         };
         let pin_core = self.take_pin_slot();
         Worker::spawn(
-            id, nodes, node, left_rx, right_rx, to_left, to_right, shared, true, waitset, pin_core,
+            id, nodes, node, left_rx, right_rx, to_left, to_right, shared, waitset, pin_core,
         )
+    }
+
+    /// Fences the chain for an operation that moves window state (a
+    /// resize, a checkpoint, a reshard), which needs migration-capable
+    /// nodes.
+    pub(crate) fn fence_for_migration(&mut self) {
+        assert!(
+            self.migratable,
+            "resizes, checkpoints and reshards require nodes that support \
+             state migration"
+        );
+        self.fence();
     }
 
     // -- driver-side entry batching -------------------------------------
 
-    fn flush_both(&mut self) {
-        self.entry.flush_both(&self.in_flight);
-    }
-
-    /// Injects one driver event under the shared flush policy (the same
-    /// [`EntryState`] as the fixed runtime's driver).
-    fn inject(&mut self, event: &llhj_core::driver::DriverEvent<R, S>) {
+    /// Injects one driver event under the shared flush policy.  A mesh
+    /// chain sees only the events its router routes to it, so it knows no
+    /// stream lengths: its last arrival leaves by the rest of the flush
+    /// policy, a fence, or the end of the run.
+    pub(crate) fn inject(&mut self, event: &DriverEvent<R, S>) {
         self.clock.note_injection(event.at);
         self.entry.inject(event, &self.injector, &self.in_flight);
         if matches!(
             event.event,
             StreamEvent::ArrivalR(_) | StreamEvent::ArrivalS(_)
         ) {
-            self.metrics.note_arrival();
+            let (r, s) = self.entry.arrivals();
+            self.metrics.publish_arrivals((r + s) as u64);
         }
     }
 
@@ -609,29 +598,27 @@ where
     /// Returns `true` if the wait was cancelled.
     ///
     /// The flush policy runs before the first park, so a frame leaves on
-    /// an idle link as soon as the driver has caught up.  With a
-    /// `flush_interval` configured the wait is also sliced at half the
-    /// interval of wall time, and every slice re-applies the policy — a
-    /// frame held back by a busy entry link cannot outwait the interval,
-    /// even when the stream goes silent.
+    /// an idle link as soon as the driver has caught up.  The wait is
+    /// sliced at `slice` of wall time (half the `flush_interval`, capped
+    /// at the controller's sampling tick), and every slice re-applies the
+    /// policy — a frame held back by a busy entry link cannot outwait the
+    /// interval, even when the stream goes silent.
     ///
-    /// With a `controller` attached the wait also *actuates* the
-    /// auto-scaler: the slice additionally caps at the controller's
-    /// sampling tick, and every slice applies a newly published desired
-    /// width through the usual fenced protocol.  This is what makes the
-    /// closed loop converge on a *silent* stream — a desired resize
-    /// published during an arrival gap lands on the next tick instead of
-    /// waiting for traffic to resume (fencing an idle chain is nearly
-    /// free: there is nothing in flight to drain).
+    /// With a `controller` attached every slice also *actuates* the
+    /// auto-scaler: a newly published desired width is applied through
+    /// the usual fenced protocol.  This is what makes the closed loop
+    /// converge on a *silent* stream — a desired resize published during
+    /// an arrival gap lands on the next tick instead of waiting for
+    /// traffic to resume (fencing an idle chain is nearly free: there is
+    /// nothing in flight to drain).
     fn pace_until(
         &mut self,
         at: Timestamp,
+        slice: Option<Duration>,
         cancel: &crate::channel::CancelToken,
         controller: Option<&Controller>,
     ) -> bool {
         let deadline = self.clock.deadline(at);
-        let tick = controller.map(|c| c.tick().max(MIN_PACING_SLICE));
-        let slice = flush_slice(&self.options).into_iter().chain(tick).min();
         self.actuate(controller);
         pace_until(deadline, slice, cancel, || {
             self.poll_entry();
@@ -639,36 +626,55 @@ where
         })
     }
 
-    /// Replays a driver schedule against the live pipeline, firing the
-    /// plan's resizes at their event indexes.  Returns `true` if the
-    /// replay was cancelled.  Call once per pipeline; then [`Self::finish`].
-    pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &ScalePlan) -> bool {
+    /// The one driver loop of a chain: replays `events`, steered by the
+    /// plan's resizes at their event indexes and by `controller` (if
+    /// any) in the pacing waits, and calls `after_inject` with the
+    /// consumed-event count after every injection (the checkpoint
+    /// cadence).  Plan steps at or past the end still run.  Returns
+    /// `true` if the replay was cancelled.
+    fn replay(
+        &mut self,
+        events: &[DriverEvent<R, S>],
+        plan: &ScalePlan,
+        controller: Option<&Controller>,
+        mut after_inject: impl FnMut(&mut Self, usize, &DriverEvent<R, S>),
+    ) -> bool {
         let cancel = self.options.cancel.clone().unwrap_or_default();
-        self.entry
-            .set_stream_lengths(schedule.r_count(), schedule.s_count());
+        // The frame holding a stream's last arrival leaves at once.
+        let (r, s) = events.iter().fold((0, 0), |(r, s), e| match e.event {
+            StreamEvent::ArrivalR(_) => (r + 1, s),
+            StreamEvent::ArrivalS(_) => (r, s + 1),
+            _ => (r, s),
+        });
+        self.entry.set_stream_lengths(r, s);
+        let tick = controller.map(|c| c.tick().max(MIN_PACING_SLICE));
+        let slice = flush_slice(&self.options).into_iter().chain(tick).min();
         let mut steps = plan.steps().iter().peekable();
-        for (idx, event) in schedule.events().iter().enumerate() {
+        for (idx, event) in events.iter().enumerate() {
             while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-                let target = step.target_nodes;
-                self.scale_to(target);
+                self.scale_to(step.target_nodes);
             }
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, None) {
+            if cancel.is_cancelled() || self.pace_until(event.at, slice, &cancel, controller) {
                 self.cancelled = true;
                 break;
             }
             self.inject(event);
+            after_inject(self, idx + 1, event);
         }
-        // Trailing resizes (plan points at or past the schedule end) still
-        // run: a conformance sweep may place a resize on the very last
-        // event.
         if !self.cancelled {
-            let remaining: Vec<ScaleStep> = steps.copied().collect();
-            for step in remaining {
+            for step in steps {
                 self.scale_to(step.target_nodes);
             }
         }
-        self.flush_both();
+        self.entry.flush_both(&self.in_flight);
         self.cancelled
+    }
+
+    /// Replays a driver schedule against the live pipeline, firing the
+    /// plan's resizes at their event indexes.  Returns `true` if the
+    /// replay was cancelled.  Call once per pipeline; then [`Self::finish`].
+    pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &ScalePlan) -> bool {
+        self.replay(schedule.events(), plan, None, |_, _, _| {})
     }
 
     /// Replays a driver schedule with the **closed loop** engaged: an
@@ -696,21 +702,27 @@ where
         let controller = Controller::spawn(
             autoscale,
             &self.options,
-            self.metrics_bus(),
-            self.stream_clock(),
+            Arc::clone(&self.metrics),
+            Arc::clone(&self.clock),
         );
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        self.entry
-            .set_stream_lengths(schedule.r_count(), schedule.s_count());
-        for event in schedule.events() {
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, Some(&controller)) {
-                self.cancelled = true;
-                break;
-            }
-            self.inject(event);
-        }
-        self.flush_both();
+        self.replay(
+            schedule.events(),
+            &ScalePlan::none(),
+            Some(&controller),
+            |_, _, _| {},
+        );
         controller.finish()
+    }
+
+    /// Pins the calling thread — the driver of a chain that is never
+    /// steered — to the pin slot after the workers' and the collector's.
+    /// Returns whether it did (the caller restores the affinity).
+    pub(crate) fn pin_driver(&mut self) -> bool {
+        let core = self.take_pin_slot();
+        if let Some(core) = core {
+            crate::exec::pin_thread(core);
+        }
+        core.is_some()
     }
 
     // -- the reconfiguration protocol ------------------------------------
@@ -718,7 +730,7 @@ where
     /// Fences the pipeline: flushes partial entry frames, then waits until
     /// no frame is in flight anywhere in the chain.
     fn fence(&mut self) {
-        self.flush_both();
+        self.entry.flush_both(&self.in_flight);
         self.in_flight.wait_for_quiescence();
     }
 
@@ -743,7 +755,7 @@ where
         let retiring: Vec<WorkerHandle<R, S>> = self.workers.split_off(target);
         for (offset, handle) in retiring.iter().enumerate().rev() {
             let k = target + offset;
-            let _ = handle.commands().send(WorkerCommand::Retire {
+            let _ = handle.commands.send(WorkerCommand::Retire {
                 absorb_first: k + 1 < current,
                 stall,
             });
@@ -754,12 +766,12 @@ where
         // driver entry channel and its right output disappears.
         let boundary = &self.workers[target - 1];
         let (new_right_tx, new_right_rx) = spsc_bounded(ENTRY_FRAMES, Some(&boundary.waitset));
-        let _ = boundary.commands().send(WorkerCommand::Absorb {
+        let _ = boundary.commands.send(WorkerCommand::Absorb {
             from: llhj_core::message::Direction::Right,
             stall,
             done: done_tx.clone(),
         });
-        let _ = boundary.commands().send(WorkerCommand::Rewire {
+        let _ = boundary.commands.send(WorkerCommand::Rewire {
             id: target - 1,
             nodes: target,
             left_rx: None,
@@ -769,7 +781,7 @@ where
             done: done_tx.clone(),
         });
         for (k, handle) in self.workers.iter().enumerate().take(target - 1) {
-            let _ = handle.commands().send(WorkerCommand::Rewire {
+            let _ = handle.commands.send(WorkerCommand::Rewire {
                 id: k,
                 nodes: target,
                 left_rx: None,
@@ -785,6 +797,7 @@ where
             let exit = handle.handle.join().expect("retiring worker panicked");
             self.retired_counters.push(exit.counters);
             self.retired_idle_wakeups += exit.idle_wakeups;
+            self.retired_batch_allocs += exit.batch_allocs;
         }
         // One Absorb plus `target` Rewires confirm the surviving chain.
         let migrated = self.confirm(&done_rx, target + 1, "shrink confirmations");
@@ -793,6 +806,11 @@ where
     }
 
     fn grow_to(&mut self, target: usize) {
+        let factory = Arc::clone(
+            self.factory
+                .as_ref()
+                .expect("a chain deployed from given nodes cannot grow"),
+        );
         let current = self.nodes();
         let delta = target - current;
         // Stream-monotone node types (HSJ) grow at BOTH ends: stored S
@@ -856,6 +874,7 @@ where
                 let handle = self.spawn_worker(
                     id,
                     target,
+                    factory(id, target),
                     left_rx,
                     right_rx,
                     to_left,
@@ -908,6 +927,7 @@ where
                 let handle = self.spawn_worker(
                     i,
                     target,
+                    factory(i, target),
                     left_rx,
                     right_rx,
                     to_left,
@@ -946,7 +966,7 @@ where
             } else {
                 (None, None)
             };
-            let _ = self.workers[k].commands().send(WorkerCommand::Rewire {
+            let _ = self.workers[k].commands.send(WorkerCommand::Rewire {
                 id: left_delta + k,
                 nodes: target,
                 left_rx,
@@ -976,7 +996,7 @@ where
     fn census(&self) -> Vec<(usize, usize)> {
         let (done_tx, done_rx) = unbounded();
         for handle in &self.workers {
-            let _ = handle.commands().send(WorkerCommand::Census {
+            let _ = handle.commands.send(WorkerCommand::Census {
                 done: done_tx.clone(),
             });
         }
@@ -1001,7 +1021,7 @@ where
         let (done_tx, done_rx) = unbounded();
         let direction = transfer.direction();
         let _ = self.workers[transfer.from]
-            .commands()
+            .commands
             .send(WorkerCommand::Shed {
                 direction,
                 r: transfer.r,
@@ -1009,7 +1029,7 @@ where
                 done: done_tx.clone(),
             });
         let _ = self.workers[transfer.to]
-            .commands()
+            .commands
             .send(WorkerCommand::Absorb {
                 from: direction.opposite(),
                 stall: self.migration_stall,
@@ -1022,8 +1042,9 @@ where
     /// the (still fenced) chain, compute the balanced
     /// [`RedistributionPlan`] under the node type's constraint, route the
     /// plan's segments hop by hop along the existing channels, and return
-    /// the moved-tuple count plus the post-redistribution census.
-    fn rebalance(&mut self) -> (usize, Vec<(usize, usize)>) {
+    /// the moved-tuple count plus the post-redistribution census.  The
+    /// mesh also runs it after a reshard changed the chain's state.
+    pub(crate) fn rebalance(&mut self) -> (usize, Vec<(usize, usize)>) {
         let census = self.census();
         let plan = RedistributionPlan::balanced(&census, self.constraint);
         if plan.is_noop() {
@@ -1046,19 +1067,6 @@ where
     // layer needs — online injection, the fence, and the cross-shard
     // export/install protocol — without widening the public API.
 
-    /// Injects one routed driver event.  The mesh router decides online
-    /// which chain sees an event, so no per-chain stream lengths exist:
-    /// a chain's last arrival leaves by the rest of the flush policy, a
-    /// fence, or the end of the run.
-    pub(crate) fn inject_routed(&mut self, event: &llhj_core::driver::DriverEvent<R, S>) {
-        self.inject(event);
-    }
-
-    /// Fences the chain for a mesh-wide reshard (public protocol step).
-    pub(crate) fn fence_for_reshard(&mut self) {
-        self.fence();
-    }
-
     /// Exports every node's full window, leaving the chain empty.  Only
     /// valid while fenced; segment `k` is node `k`'s window.
     pub(crate) fn export_all_segments(&mut self) -> Vec<llhj_core::message::WindowSegment<R, S>> {
@@ -1066,7 +1074,7 @@ where
         for handle in &self.workers {
             let (done_tx, done_rx) = unbounded();
             let _ = handle
-                .commands()
+                .commands
                 .send(WorkerCommand::ExportAll { done: done_tx });
             match done_rx.recv_timeout(PROTOCOL_STEP_TIMEOUT) {
                 Ok(segment) => segments.push(segment),
@@ -1086,18 +1094,11 @@ where
         segment: llhj_core::message::WindowSegment<R, S>,
     ) -> usize {
         let (done_tx, done_rx) = unbounded();
-        let _ = self.workers[k].commands().send(WorkerCommand::Install {
+        let _ = self.workers[k].commands.send(WorkerCommand::Install {
             segment,
             done: done_tx,
         });
         self.confirm(&done_rx, 1, "a silent install confirmation")
-    }
-
-    /// Runs the chain-wide redistribution pass (census → plan → hops).
-    /// Only valid while fenced; the mesh calls it after a reshard changed
-    /// the chain's resident state.
-    pub(crate) fn rebalance_fenced(&mut self) -> usize {
-        self.rebalance().0
     }
 }
 
@@ -1160,7 +1161,7 @@ where
         shards: u32,
         events_consumed: u64,
     ) -> ChainCheckpoint<R, S> {
-        self.fence();
+        self.fence_for_migration();
         let segments = self.export_all_segments();
         for (k, segment) in segments.iter().enumerate() {
             self.install_segment(k, segment.clone());
@@ -1183,7 +1184,7 @@ where
             self.nodes(),
             "a checkpoint restores only into a chain of its own width"
         );
-        self.fence();
+        self.fence_for_migration();
         for (k, segment) in ckpt.segments.into_iter().enumerate() {
             self.install_segment(k, segment);
         }
@@ -1191,25 +1192,11 @@ where
         self.hwm.observe_s(ckpt.hwm_s);
     }
 
-    /// Replays recovered driver events (paced exactly like a schedule
-    /// replay) until exhausted or cancelled.
-    pub(crate) fn replay_events(&mut self, events: &[llhj_core::driver::DriverEvent<R, S>]) {
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        for event in events {
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, None) {
-                self.cancelled = true;
-                break;
-            }
-            self.inject_routed(event);
-        }
-        self.flush_both();
-    }
-
     /// [`ElasticPipeline::run_schedule`] with durability: every consumed
-    /// event is recorded into a bounded [`ReplayLog`] before injection,
-    /// and every `every_events` events the driver takes a fenced
-    /// checkpoint, persists it and trims the log.  Returns the cancel flag
-    /// plus the replay log — together with the store, everything a
+    /// event is recorded into a bounded [`ReplayLog`], and every
+    /// `every_events` events the driver takes a fenced checkpoint,
+    /// persists it and trims the log.  Returns the cancel flag plus the
+    /// replay log — together with the store, everything a
     /// [`recover_elastic_pipeline`] call needs after a crash.
     pub fn run_schedule_checkpointed(
         &mut self,
@@ -1220,39 +1207,24 @@ where
         let mut checkpointer: ChainCheckpointer<R, S> =
             ChainCheckpointer::new(cfg.shard, cfg.full_interval);
         let mut log: ReplayLog<R, S> = ReplayLog::new(cfg.replay_capacity);
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        self.entry
-            .set_stream_lengths(schedule.r_count(), schedule.s_count());
-        let mut steps = plan.steps().iter().peekable();
-        for (idx, event) in schedule.events().iter().enumerate() {
-            while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-                self.scale_to(step.target_nodes);
-            }
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, None) {
-                self.cancelled = true;
-                break;
-            }
-            log.record(event.clone());
-            self.inject(event);
-            let consumed = idx + 1;
-            if consumed.is_multiple_of(cfg.every_events) {
-                let ckpt = self.capture_checkpoint(0, 1, consumed as u64);
-                // A failed store write is not fatal to the run — the log
-                // simply is not trimmed, so recoverability degrades to the
-                // previous durable checkpoint instead of silently lying.
-                if checkpointer.append(cfg.store.as_ref(), ckpt).is_ok() {
-                    log.trim_to(consumed);
+        let cancelled = self.replay(
+            schedule.events(),
+            plan,
+            None,
+            |pipeline, consumed, event| {
+                log.record(event.clone());
+                if consumed.is_multiple_of(cfg.every_events) {
+                    let ckpt = pipeline.capture_checkpoint(0, 1, consumed as u64);
+                    // A failed store write is not fatal to the run — the log
+                    // simply is not trimmed, so recoverability degrades to the
+                    // previous durable checkpoint instead of silently lying.
+                    if checkpointer.append(cfg.store.as_ref(), ckpt).is_ok() {
+                        log.trim_to(consumed);
+                    }
                 }
-            }
-        }
-        if !self.cancelled {
-            let remaining: Vec<ScaleStep> = steps.copied().collect();
-            for step in remaining {
-                self.scale_to(step.target_nodes);
-            }
-        }
-        self.flush_both();
-        (self.cancelled, log)
+            },
+        );
+        (cancelled, log)
     }
 }
 
@@ -1287,7 +1259,7 @@ pub fn recover_elastic_pipeline<R, S, P, H>(
     policy: H,
     options: &PipelineOptions,
     log: &ReplayLog<R, S>,
-) -> Result<ElasticOutcome<R, S>, CheckpointError>
+) -> Result<RunOutcome<R, S>, CheckpointError>
 where
     R: Clone + Send + Sync + CheckpointPayload + 'static,
     S: Clone + Send + Sync + CheckpointPayload + 'static,
@@ -1306,7 +1278,7 @@ where
     if let Some(ckpt) = restored {
         pipeline.restore_checkpoint(ckpt);
     }
-    pipeline.replay_events(&suffix);
+    pipeline.replay(&suffix, &ScalePlan::none(), None, |_, _, _| {});
     Ok(pipeline.finish())
 }
 
@@ -1333,7 +1305,7 @@ where
             return;
         }
         let wall_start = Instant::now();
-        self.fence();
+        self.fence_for_migration();
         let migrated = if target < current {
             self.shrink_to(target)
         } else {
@@ -1368,7 +1340,7 @@ where
     H: HomePolicy + Clone,
 {
     /// Drains the pipeline, stops every thread and returns the outcome.
-    pub fn finish(mut self) -> ElasticOutcome<R, S> {
+    pub fn finish(mut self) -> RunOutcome<R, S> {
         self.fence();
         self.stop.store(true, Ordering::SeqCst);
         for worker in &self.workers {
@@ -1378,13 +1350,16 @@ where
 
         let mut counters = Vec::with_capacity(self.workers.len());
         let mut idle_wakeups = self.retired_idle_wakeups;
+        // Every frame, injected or forwarded, is assembled in a fresh
+        // buffer.
+        let mut batch_allocs = self.entry.frames_injected + self.retired_batch_allocs;
         let nodes = self.workers.len();
         for worker in self.workers.drain(..) {
             let exit = worker.handle.join().expect("worker thread panicked");
             counters.push(exit.counters);
             idle_wakeups += exit.idle_wakeups;
+            batch_allocs += exit.batch_allocs;
         }
-        drop(self.result_tx.take());
         let collected = self
             .collector
             .take()
@@ -1392,7 +1367,7 @@ where
             .join()
             .expect("collector thread panicked");
 
-        ElasticOutcome {
+        RunOutcome {
             results: collected.results,
             output: collected.output,
             counters,
@@ -1403,6 +1378,7 @@ where
             punctuation_count: collected.punctuation_count,
             arrivals_per_stream: self.entry.arrivals(),
             frames_injected: self.entry.frames_injected,
+            batch_allocs,
             idle_wakeups,
             resize_log: std::mem::take(&mut self.resize_log),
             nodes,
@@ -1428,7 +1404,6 @@ where
             worker.waitset.notify();
         }
         self.stop_signal.notify();
-        drop(self.result_tx.take());
     }
 }
 
@@ -1444,7 +1419,7 @@ pub fn run_elastic_pipeline<R, S, P, H>(
     schedule: &DriverSchedule<R, S>,
     plan: &ScalePlan,
     options: &PipelineOptions,
-) -> ElasticOutcome<R, S>
+) -> RunOutcome<R, S>
 where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
@@ -1460,33 +1435,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{eq_pred, schedule};
     use llhj_baselines::run_kang;
     use llhj_core::homing::RoundRobin;
-    use llhj_core::predicate::FnPredicate;
     use llhj_core::time::TimeDelta;
+    use llhj_core::tuple::SeqNo;
     use llhj_core::window::WindowSpec;
-
-    fn eq_pred() -> FnPredicate<fn(&u32, &u32) -> bool> {
-        fn eq(r: &u32, s: &u32) -> bool {
-            r == s
-        }
-        FnPredicate(eq as fn(&u32, &u32) -> bool)
-    }
-
-    fn schedule(tuples: u64, window_ms: u64) -> DriverSchedule<u32, u32> {
-        let r: Vec<_> = (0..tuples)
-            .map(|i| (Timestamp::from_millis(i), (i % 13) as u32))
-            .collect();
-        let s: Vec<_> = (0..tuples)
-            .map(|i| (Timestamp::from_millis(i), (i % 17) as u32))
-            .collect();
-        DriverSchedule::build(
-            r,
-            s,
-            WindowSpec::Time(TimeDelta::from_millis(window_ms)),
-            WindowSpec::Time(TimeDelta::from_millis(window_ms)),
-        )
-    }
 
     fn paced_opts(batch_size: usize) -> PipelineOptions {
         PipelineOptions {

@@ -1,20 +1,16 @@
 //! Shared execution machinery of the threaded runtimes.
 //!
-//! The fixed pipeline ([`crate::run_pipeline`]) and the elastic pipeline
-//! ([`crate::elastic::ElasticPipeline`]) are the *same* data plane — worker
-//! threads moving [`MessageBatch`] frames between neighbours, a driver
-//! assembling entry frames, a collector vacuuming result queues — and for
-//! two PRs they carried two copies of it (the fixed path on scoped threads
-//! and borrowed state, the elastic path on owned `'static` state), a
-//! divergence ROADMAP called out explicitly.  This module is the single
-//! implementation both deploy:
+//! Every chain deployment — [`crate::run_pipeline`], the elastic and
+//! autoscaled chains, each chain of a shard mesh — is one
+//! [`crate::elastic::ElasticPipeline`], and this module is its data plane:
+//! worker threads moving [`MessageBatch`] frames between neighbours, a
+//! driver assembling entry frames, a collector vacuuming result queues.
 //!
 //! * [`Worker`] — the worker thread: event-driven two-input poll loop,
 //!   frame handling (batch dispatch, high-water-mark observation, output
-//!   forwarding, result emission, in-flight accounting), plus the elastic
-//!   command mailbox (rewire / absorb / retire).  A fixed pipeline simply
-//!   never sends a command — it *is* an elastic pipeline that never
-//!   resizes.
+//!   forwarding, result emission, in-flight accounting), plus the command
+//!   mailbox (rewire / absorb / retire), polled only when both inputs are
+//!   empty.  A fixed chain simply never sends a command.
 //! * [`EntryBatcher`] / [`EntryState`] — the driver's entry-frame assembly
 //!   for one direction / both directions, under the one [`FlushPolicy`]:
 //!   flush on an idle entry link once the driver has caught up, batch
@@ -22,15 +18,16 @@
 //!   arrivals or `flush_interval` of age.
 //! * [`pace_until`] — the drivers' sliced real-time pacing wait.
 //! * [`spawn_collector`] — the collector thread: reads the high-water
-//!   marks *before* vacuuming (Section 6.1.3 step 1), drains the result
-//!   queues, emits punctuations, and feeds the metrics bus's latency EWMA.
+//!   marks *before* vacuuming (Section 6.1.3 step 1), drains the
+//!   per-worker result rings, emits punctuations, and publishes the
+//!   latency EWMA to the metrics bus once per pass.
 //! * The shared primitives: [`StreamClock`], [`InFlight`] (quiescence
 //!   accounting), [`send_frame`], [`WORKER_PARK`].
 //!
 //! Everything here is `pub(crate)`: the public API stays in
 //! [`crate::pipeline`] and [`crate::elastic`].
 
-use crate::channel::{unbounded, CancelToken, Receiver, Sender, WaitSet};
+use crate::channel::{spsc_unbounded, CancelToken, Receiver, Sender, TryRecvError, WaitSet};
 use crate::metrics::MetricsBus;
 use crate::options::{Pacing, PipelineOptions};
 use llhj_core::driver::{DriverEvent, Injector, StreamEvent};
@@ -38,6 +35,7 @@ use llhj_core::homing::HomePolicy;
 use llhj_core::message::{
     Direction, Handoff, LeftToRight, MessageBatch, NodeOutput, RightToLeft, WindowSegment,
 };
+use llhj_core::metrics::{LatencyEwma, DEFAULT_LATENCY_ALPHA};
 use llhj_core::node::PipelineNode;
 use llhj_core::predicate::JoinPredicate;
 use llhj_core::punctuation::{HighWaterMarks, OutputItem, Punctuation};
@@ -67,6 +65,10 @@ pub(crate) const ENTRY_FRAMES: usize = 1024;
 /// worker, worker → collector); bursts beyond it spill into the ring's
 /// mutex spillway.
 pub(crate) const RING_SLOTS: usize = 256;
+
+/// Lock-free depth of a worker's command mailbox: commands travel only
+/// while the chain is fenced, a few at a time.
+const COMMAND_SLOTS: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Core pinning
@@ -158,13 +160,6 @@ impl CoreMap {
     /// The core backing pin slot `slot`.
     pub(crate) fn core(&self, slot: usize) -> usize {
         (self.offset + slot) % self.cores
-    }
-
-    /// Pins the calling thread to slot `slot`'s core (the driver pins
-    /// itself; workers and the collector are handed their core through
-    /// their spawn arguments).
-    pub(crate) fn pin_current(&self, slot: usize) {
-        affinity::pin_current_thread(self.core(slot));
     }
 }
 
@@ -673,8 +668,8 @@ pub(crate) fn pace_until(
 type Frame<R, S> = MessageBatch<R, S>;
 
 /// Control messages the pipeline sends to a worker through its mailbox.
-/// Commands only travel while the pipeline is fenced; a fixed pipeline
-/// never sends one.
+/// Commands only travel while the pipeline is fenced; a chain that is
+/// never steered never sends one.
 pub(crate) enum WorkerCommand<R, S> {
     /// Renumber the node and (optionally) replace channel endpoints.
     Rewire {
@@ -749,11 +744,13 @@ pub(crate) struct WorkerShared<R, S> {
     pub(crate) clock: Arc<StreamClock>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) in_flight: Arc<InFlight>,
+    /// This worker's own result ring, drained by the collector.
     pub(crate) results: Sender<TimedResult<R, S>>,
     /// This worker's busy-nanoseconds slot on the metrics bus; bumped
-    /// (relaxed) after every frame.  `None` skips the instrumentation
-    /// entirely (the fixed pipeline, whose bus nobody samples): no
-    /// `Instant::now` pair on the frame hot path.
+    /// (relaxed) after every frame.  Only a chain that can be steered
+    /// has one: the busy time feeds the autoscale controller, and timing
+    /// a frame costs an `Instant::now` pair.  A chain deployed from given
+    /// nodes never resizes and skips it.
     pub(crate) busy_ns: Option<Arc<AtomicU64>>,
 }
 
@@ -766,22 +763,13 @@ pub(crate) struct WorkerExit {
     pub(crate) batch_allocs: u64,
 }
 
-/// The control plane's handle on one spawned worker.  `cmd_tx` is `None`
-/// for workers spawned without a mailbox (the fixed pipeline).
+/// The control plane's handle on one spawned worker.
 pub(crate) struct WorkerHandle<R, S> {
     pub(crate) handle: JoinHandle<WorkerExit>,
-    pub(crate) cmd_tx: Option<Sender<WorkerCommand<R, S>>>,
+    /// The worker's command mailbox: a ring, because only the control
+    /// plane (the thread owning the pipeline) sends commands.
+    pub(crate) commands: Sender<WorkerCommand<R, S>>,
     pub(crate) waitset: WaitSet,
-}
-
-impl<R, S> WorkerHandle<R, S> {
-    /// The command mailbox; panics on a worker spawned without one (only
-    /// elastic pipelines send commands, and they always spawn with it).
-    pub(crate) fn commands(&self) -> &Sender<WorkerCommand<R, S>> {
-        self.cmd_tx
-            .as_ref()
-            .expect("worker was spawned without a command mailbox")
-    }
 }
 
 /// One worker thread: a pipeline node plus its channel endpoints.
@@ -793,9 +781,9 @@ pub(crate) struct Worker<R, S> {
     right_rx: Receiver<Frame<R, S>>,
     to_left: Option<Sender<Frame<R, S>>>,
     to_right: Option<Sender<Frame<R, S>>>,
-    /// Elastic command mailbox; `None` on a fixed pipeline, which also
-    /// skips the per-iteration mailbox poll (one channel lock per frame).
-    cmd_rx: Option<Receiver<WorkerCommand<R, S>>>,
+    /// Command mailbox, polled only when both inputs are empty: commands
+    /// travel while the chain is fenced, when no data frame is queued.
+    cmd_rx: Receiver<WorkerCommand<R, S>>,
     waitset: WaitSet,
     shared: WorkerShared<R, S>,
     /// A handoff segment that arrived before this worker processed its
@@ -814,13 +802,11 @@ where
     S: Clone + Send + 'static,
 {
     /// Spawns a worker thread for position `id` of `nodes`, registering
-    /// `waitset` with both inputs — and, when `with_mailbox` is set
-    /// (elastic pipelines), with a command mailbox.  A mailbox-less
-    /// worker never pays the per-iteration command poll.  The caller makes
-    /// the wait set before the worker's input rings, which bind it at
-    /// construction (`set_waiter` then only asserts the binding matches);
-    /// `pin_core` is the core to pin the thread to, when a [`CoreMap`] is
-    /// active.
+    /// `waitset` with both inputs and with a fresh command mailbox.  The
+    /// caller makes the wait set before the worker's input rings, which
+    /// bind it at construction (`set_waiter` then only asserts the binding
+    /// matches); `pin_core` is the core to pin the thread to, when a
+    /// [`CoreMap`] is active.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn(
         id: usize,
@@ -831,21 +817,12 @@ where
         to_left: Option<Sender<Frame<R, S>>>,
         to_right: Option<Sender<Frame<R, S>>>,
         shared: WorkerShared<R, S>,
-        with_mailbox: bool,
         waitset: WaitSet,
         pin_core: Option<usize>,
     ) -> WorkerHandle<R, S> {
         left_rx.set_waiter(&waitset);
         right_rx.set_waiter(&waitset);
-        let (cmd_tx, cmd_rx) = if with_mailbox {
-            // Command mailboxes are MPSC (control plane + neighbours) and
-            // stay on the mutex transport, which binds waiters late.
-            let (tx, rx) = unbounded();
-            rx.set_waiter(&waitset);
-            (Some(tx), Some(rx))
-        } else {
-            (None, None)
-        };
+        let (commands, cmd_rx) = spsc_unbounded(COMMAND_SLOTS, Some(&waitset));
         let worker = Worker {
             id,
             nodes,
@@ -864,7 +841,7 @@ where
         };
         WorkerHandle {
             handle: thread::spawn(move || worker.run()),
-            cmd_tx,
+            commands,
             waitset,
         }
     }
@@ -882,14 +859,6 @@ where
             // landing between the polls and the park bumps the epoch first,
             // so the wait returns immediately — no lost wake-ups.
             let seen = self.waitset.epoch();
-            if let Some(cmd_rx) = &self.cmd_rx {
-                if let Ok(cmd) = cmd_rx.try_recv() {
-                    if self.execute(cmd) {
-                        break;
-                    }
-                    continue;
-                }
-            }
             let frame = if poll_left_first {
                 self.left_rx
                     .try_recv()
@@ -903,10 +872,15 @@ where
             match frame {
                 Ok(frame) => self.handle_frame(frame, &mut out),
                 Err(_) => {
+                    if let Ok(cmd) = self.cmd_rx.try_recv() {
+                        if self.execute(cmd) {
+                            break;
+                        }
+                        continue;
+                    }
                     if self.shared.stop.load(Ordering::SeqCst)
                         && self.left_rx.is_empty()
                         && self.right_rx.is_empty()
-                        && self.cmd_rx.as_ref().is_none_or(|rx| rx.is_empty())
                     {
                         break;
                     }
@@ -1064,7 +1038,7 @@ where
                 self.nodes = nodes;
                 self.node
                     .set_position(id, nodes)
-                    .expect("elastic workers are spawned with migration-capable nodes");
+                    .expect("migration commands require migration-capable nodes");
                 if let Some(rx) = left_rx {
                     self.left_rx = rx;
                 }
@@ -1112,7 +1086,7 @@ where
                 let segment = self
                     .node
                     .export_segment()
-                    .expect("elastic workers are spawned with migration-capable nodes");
+                    .expect("migration commands require migration-capable nodes");
                 let _ = done.send(segment);
                 false
             }
@@ -1120,7 +1094,7 @@ where
                 let migrated = segment.len();
                 self.node
                     .install_segment_silent(segment)
-                    .expect("elastic workers are spawned with migration-capable nodes");
+                    .expect("migration commands require migration-capable nodes");
                 let _ = done.send(ScaleConfirm {
                     migrated_tuples: migrated,
                 });
@@ -1136,7 +1110,7 @@ where
                 let segment = self
                     .node
                     .export_segment()
-                    .expect("elastic workers are spawned with migration-capable nodes");
+                    .expect("migration commands require migration-capable nodes");
                 let to_left = self
                     .to_left
                     .as_ref()
@@ -1182,7 +1156,7 @@ where
         let mut out: NodeOutput<R, S, ResultTuple<R, S>> = NodeOutput::new();
         self.node
             .import_segment(segment, from, &mut out)
-            .expect("elastic workers are spawned with migration-capable nodes");
+            .expect("migration commands require migration-capable nodes");
         debug_assert!(
             out.to_left.is_empty() && out.to_right.is_empty(),
             "segment installation must not emit pipeline messages"
@@ -1218,7 +1192,7 @@ where
         let segment = self
             .node
             .export_segment_range(range_r, range_s)
-            .expect("elastic workers are spawned with migration-capable nodes");
+            .expect("migration commands require migration-capable nodes");
         let tx = match direction {
             Direction::Left => &self.to_left,
             Direction::Right => &self.to_right,
@@ -1285,69 +1259,78 @@ pub(crate) struct CollectorOutcome<R, S> {
     pub(crate) punctuation_count: u64,
 }
 
-/// Collector knobs (a subset of [`crate::options::PipelineOptions`]).
-pub(crate) struct CollectorConfig {
-    pub(crate) punctuate: bool,
-    pub(crate) interval: Duration,
-    pub(crate) latency_bucket: u64,
-    /// Core to pin the collector thread to, when a [`CoreMap`] is active.
-    pub(crate) pin_core: Option<usize>,
-}
-
-/// Spawns the collector thread over the given per-worker result queues.
+/// Spawns the collector thread.  It drains one result ring per worker;
+/// a worker's ring reaches it through `joining` before the worker
+/// spawns, and leaves once the retired worker's ring is empty and
+/// disconnected.
 ///
 /// Step 1 of the paper's Section 6.1.3 is preserved: the high-water marks
-/// are read *before* the queues are vacuumed, so every punctuation `p`
-/// emitted after a batch of results is a valid promise (no later result
-/// can carry a smaller timestamp).  With a metrics bus attached (elastic
-/// pipelines), every collected latency is also fed into the bus's EWMA
-/// for the auto-scaler; `None` skips the per-result CAS.
+/// are read *before* the rings are vacuumed (and before newly joined
+/// rings are adopted — a ring joins before its worker can produce), so
+/// every punctuation `p` emitted after a batch of results is a valid
+/// promise (no later result can carry a smaller timestamp).  Every
+/// collected latency is folded into a local EWMA, published to the
+/// metrics bus once per pass: no atomic read-modify-write per result.
 pub(crate) fn spawn_collector<R, S>(
-    receivers: Vec<Receiver<TimedResult<R, S>>>,
+    joining: Receiver<Receiver<TimedResult<R, S>>>,
     stop: Arc<AtomicBool>,
     stop_signal: WaitSet,
     hwm: Arc<HighWaterMarks>,
-    metrics: Option<Arc<MetricsBus>>,
-    config: CollectorConfig,
+    metrics: Arc<MetricsBus>,
+    options: &PipelineOptions,
+    pin_core: Option<usize>,
 ) -> JoinHandle<CollectorOutcome<R, S>>
 where
     R: Clone + Send + 'static,
     S: Clone + Send + 'static,
 {
+    let (punctuate, interval) = (options.punctuate, options.collect_interval);
+    let latency_bucket = options.latency_bucket;
     thread::spawn(move || {
-        if let Some(core) = config.pin_core {
+        if let Some(core) = pin_core {
             pin_thread(core);
         }
         let mut outcome = CollectorOutcome {
             results: Vec::new(),
             output: Vec::new(),
             latency: LatencySummary::new(),
-            series: LatencySeries::new(config.latency_bucket),
+            series: LatencySeries::new(latency_bucket),
             punctuation_count: 0,
         };
+        let mut receivers: Vec<Receiver<TimedResult<R, S>>> = Vec::new();
+        let mut ewma = LatencyEwma::new(DEFAULT_LATENCY_ALPHA);
         loop {
             let seen = stop_signal.epoch();
             let stopping = stop.load(Ordering::SeqCst);
             // Step 1 (Section 6.1.3): read the high-water marks before
             // vacuuming the queues.
             let safe = hwm.safe_punctuation();
-            let mut drained_any = false;
-            for rx in &receivers {
-                while let Ok(timed) = rx.try_recv() {
-                    drained_any = true;
-                    let latency = timed.latency();
-                    outcome.latency.record(latency);
-                    outcome.series.record(timed.detected_at, latency);
-                    if let Some(bus) = &metrics {
-                        bus.observe_latency(latency);
-                    }
-                    if config.punctuate {
-                        outcome.output.push(OutputItem::Result(timed.clone()));
-                    }
-                    outcome.results.push(timed);
-                }
+            while let Ok(rx) = joining.try_recv() {
+                receivers.push(rx);
             }
-            if config.punctuate && drained_any {
+            let mut drained_any = false;
+            receivers.retain(|rx| loop {
+                match rx.try_recv() {
+                    Ok(timed) => {
+                        drained_any = true;
+                        let latency = timed.latency();
+                        outcome.latency.record(latency);
+                        outcome.series.record(timed.detected_at, latency);
+                        ewma.observe(latency);
+                        if punctuate {
+                            outcome.output.push(OutputItem::Result(timed.clone()));
+                        }
+                        outcome.results.push(timed);
+                    }
+                    Err(TryRecvError::Empty) => break true,
+                    // A retired worker's ring, drained for good.
+                    Err(TryRecvError::Disconnected) => break false,
+                }
+            });
+            if drained_any {
+                metrics.publish_latency(outcome.results.len() as u64, ewma.value_us());
+            }
+            if punctuate && drained_any {
                 outcome
                     .output
                     .push(OutputItem::Punctuation(Punctuation { ts: safe }));
@@ -1359,7 +1342,7 @@ where
             // The vacuum period doubles as the park timeout; the driver's
             // shutdown notification cuts it short so the final drain
             // starts immediately.
-            stop_signal.wait(seen, config.interval);
+            stop_signal.wait(seen, interval);
         }
         outcome
     })
@@ -1513,8 +1496,8 @@ mod tests {
     /// worker takes it.
     #[test]
     fn entry_frames_are_held_only_while_the_link_or_driver_is_busy() {
-        let (left_tx, left_rx) = crate::channel::bounded(16);
-        let (right_tx, _right_rx) = crate::channel::bounded(16);
+        let (left_tx, left_rx) = crate::channel::spsc_bounded(16, None);
+        let (right_tx, _right_rx) = crate::channel::spsc_bounded(16, None);
         let mut entry: EntryState<u32, u32> = EntryState::new(
             left_tx,
             right_tx,
@@ -1553,8 +1536,8 @@ mod tests {
     fn catch_up_burst_settles_an_arrival_before_its_expiry() {
         use llhj_core::tuple::SeqNo;
 
-        let (left_tx, left_rx) = crate::channel::bounded(16);
-        let (right_tx, right_rx) = crate::channel::bounded(16);
+        let (left_tx, left_rx) = crate::channel::spsc_bounded(16, None);
+        let (right_tx, right_rx) = crate::channel::spsc_bounded(16, None);
         let mut entry: EntryState<u32, u32> = EntryState::new(
             left_tx,
             right_tx,
@@ -1599,8 +1582,8 @@ mod tests {
     fn an_expiry_waits_for_its_arrival_in_transit() {
         use llhj_core::tuple::SeqNo;
 
-        let (left_tx, left_rx) = crate::channel::bounded(16);
-        let (right_tx, _right_rx) = crate::channel::bounded(16);
+        let (left_tx, left_rx) = crate::channel::spsc_bounded(16, None);
+        let (right_tx, _right_rx) = crate::channel::spsc_bounded(16, None);
         let marks = HighWaterMarks::new();
         let mut entry: EntryState<u32, u32> = EntryState::new(
             left_tx,

@@ -68,8 +68,8 @@ pub use autoscale::{run_autoscaled_pipeline, AutoscaleOptions};
 pub use channel::CancelToken;
 pub use elastic::{
     hsj_age_factory, llhj_factory, llhj_indexed_factory, recover_elastic_pipeline,
-    run_elastic_pipeline, CheckpointConfig, ElasticOutcome, ElasticPipeline, NodeFactory,
-    ResizeEvent, ScalePipeline, ScalePlan, ScaleStep,
+    run_elastic_pipeline, CheckpointConfig, ElasticPipeline, NodeFactory, ResizeEvent,
+    ScalePipeline, ScalePlan, ScaleStep,
 };
 pub use mesh::{recover_mesh_pipeline, run_mesh_pipeline, MeshOutcome, MeshPipeline, ReshardEvent};
 pub use metrics::MetricsBus;
@@ -138,38 +138,46 @@ where
         .collect()
 }
 
+/// Test fixtures shared by the crate's unit tests.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use llhj_baselines::run_kang;
+pub(crate) mod fixtures {
     use llhj_core::driver::DriverSchedule;
-    use llhj_core::homing::RoundRobin;
     use llhj_core::predicate::FnPredicate;
-    use llhj_core::punctuation::verify_punctuated_stream;
     use llhj_core::time::{TimeDelta, Timestamp};
     use llhj_core::window::WindowSpec;
 
-    fn eq_pred() -> FnPredicate<fn(&u32, &u32) -> bool> {
+    /// Equality on `u32` payloads.
+    pub(crate) fn eq_pred() -> FnPredicate<fn(&u32, &u32) -> bool> {
         fn eq(r: &u32, s: &u32) -> bool {
             r == s
         }
         FnPredicate(eq as fn(&u32, &u32) -> bool)
     }
 
-    fn schedule(tuples: u64, window_ms: u64) -> DriverSchedule<u32, u32> {
+    /// `tuples` arrivals per stream 1 ms apart, values cycling mod 13 (R)
+    /// and mod 17 (S), under `window_ms` time windows.
+    pub(crate) fn schedule(tuples: u64, window_ms: u64) -> DriverSchedule<u32, u32> {
         let r: Vec<_> = (0..tuples)
             .map(|i| (Timestamp::from_millis(i), (i % 13) as u32))
             .collect();
         let s: Vec<_> = (0..tuples)
             .map(|i| (Timestamp::from_millis(i), (i % 17) as u32))
             .collect();
-        DriverSchedule::build(
-            r,
-            s,
-            WindowSpec::Time(TimeDelta::from_millis(window_ms)),
-            WindowSpec::Time(TimeDelta::from_millis(window_ms)),
-        )
+        let window = WindowSpec::Time(TimeDelta::from_millis(window_ms));
+        DriverSchedule::build(r, s, window, window)
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fixtures::{eq_pred, schedule};
+    use super::*;
+    use llhj_baselines::run_kang;
+    use llhj_core::driver::DriverSchedule;
+    use llhj_core::homing::RoundRobin;
+    use llhj_core::punctuation::verify_punctuated_stream;
+    use llhj_core::time::{TimeDelta, Timestamp};
+    use llhj_core::window::WindowSpec;
 
     fn flushed_schedule(tuples: u64, window_ms: u64) -> DriverSchedule<u32, u32> {
         let flush = window_ms + 10;

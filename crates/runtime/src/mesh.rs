@@ -38,11 +38,10 @@
 //! the parent's width, then exports node by node into the parent.
 
 use crate::channel::CancelToken;
-use crate::elastic::{
-    CheckpointConfig, ElasticOutcome, ElasticPipeline, NodeFactory, ScalePipeline,
-};
+use crate::elastic::{CheckpointConfig, ElasticPipeline, NodeFactory, ScalePipeline};
 use crate::exec::{flush_slice, pace_until, StreamClock};
 use crate::options::PipelineOptions;
+use crate::pipeline::RunOutcome;
 use llhj_core::checkpoint::{
     load_latest_mesh, ChainCheckpointer, CheckpointError, CheckpointPayload, CheckpointStore,
     ReplayLog,
@@ -118,7 +117,7 @@ where
     options: PipelineOptions,
     /// Outcomes of chains retired by shard merges; their output streams
     /// join the final frontier merge.
-    retired: Vec<ElasticOutcome<R, S>>,
+    retired: Vec<RunOutcome<R, S>>,
     reshard_log: Vec<ReshardEvent>,
     /// The mesh's one stream clock, shared by every chain (split children
     /// included): the router paces against it, the workers stamp with it.
@@ -151,37 +150,46 @@ where
             mode == RouteMode::FragmentReplicate || predicate.supports_index(),
             "co-partitioning requires a predicate with both equi-key extractors"
         );
-        let router = ShardRouter::new(predicate.clone(), mode, shards);
-        let clock = Arc::new(StreamClock::new(options.pacing));
-        let chains = (0..shards)
-            .map(|p| {
-                // Stagger each chain's core slots so two shards' workers do
-                // not stack on the same cores (a no-op unless `pin_cores`).
-                let mut chain_options = options.clone();
-                chain_options.pin_core_offset = options.pin_core_offset + p * (width + 1);
-                ElasticPipeline::with_clock(
-                    width,
-                    factory.clone(),
-                    predicate.clone(),
-                    policy.clone(),
-                    chain_options,
-                    Arc::clone(&clock),
-                )
-            })
-            .collect();
-        MeshPipeline {
-            router,
-            chains,
+        let mut mesh = MeshPipeline {
+            router: ShardRouter::new(predicate.clone(), mode, shards),
+            chains: Vec::with_capacity(shards),
+            clock: Arc::new(StreamClock::new(options.pacing)),
             factory,
             predicate,
             policy,
             options,
             retired: Vec::new(),
             reshard_log: Vec::new(),
-            clock,
             migration_stall: None,
             cancelled: false,
+        };
+        for _ in 0..shards {
+            let chain = mesh.new_chain(width);
+            mesh.chains.push(chain);
         }
+        mesh
+    }
+
+    /// A chain of `width` nodes for the next shard index, on the mesh's
+    /// one stream clock (a fresh clock would restart a split child's
+    /// stream time at 0 mid-run).  Each chain's core slots are staggered
+    /// past the existing chains', so two shards' workers do not stack on
+    /// the same cores (a no-op unless `pin_cores`).
+    fn new_chain(&self, width: usize) -> ElasticPipeline<R, S, P, H> {
+        let mut options = self.options.clone();
+        options.pin_core_offset += self.chains.len() * (width + 1);
+        let mut chain = ElasticPipeline::with_clock(
+            width,
+            self.factory.clone(),
+            self.predicate.clone(),
+            self.policy.clone(),
+            options,
+            Arc::clone(&self.clock),
+        );
+        if let Some(stall) = self.migration_stall {
+            chain.set_migration_stall(stall);
+        }
+        chain
     }
 
     /// Current shard count.
@@ -211,7 +219,7 @@ where
     fn inject(&mut self, event: &DriverEvent<R, S>) {
         let route = self.router.route(&event.event);
         for shard in route.targets(self.chains.len()) {
-            self.chains[shard].inject_routed(event);
+            self.chains[shard].inject(event);
         }
     }
 
@@ -231,7 +239,7 @@ where
     fn split_once(&mut self) -> usize {
         let n = self.chains.len();
         for chain in &mut self.chains {
-            chain.fence_for_reshard();
+            chain.fence_for_migration();
         }
         self.router.split();
         let mut moved = 0;
@@ -241,25 +249,7 @@ where
             // moving rows re-enter at position `k`, preserving positional
             // invariants; the per-chain rebalance below levels both chains
             // afterwards.
-            // The child joins the mesh's stream clock: a fresh clock
-            // would restart its stream time at 0 mid-run.
-            let mut child = ElasticPipeline::with_clock(
-                width,
-                self.factory.clone(),
-                self.predicate.clone(),
-                self.policy.clone(),
-                {
-                    // New shards keep staggering past the existing chains.
-                    let mut child_options = self.options.clone();
-                    child_options.pin_core_offset =
-                        self.options.pin_core_offset + self.chains.len() * (width + 1);
-                    child_options
-                },
-                Arc::clone(&self.clock),
-            );
-            if let Some(stall) = self.migration_stall {
-                child.set_migration_stall(stall);
-            }
+            let mut child = self.new_chain(width);
             let segments = self.chains[p].export_all_segments();
             for (k, segment) in segments.into_iter().enumerate() {
                 let (keep, moving) = self.router.split_segment(p, segment);
@@ -267,8 +257,8 @@ where
                 self.chains[p].install_segment(k, keep);
                 child.install_segment(k, moving);
             }
-            self.chains[p].rebalance_fenced();
-            child.rebalance_fenced();
+            self.chains[p].rebalance();
+            child.rebalance();
             // Shard ids: child of parent `p` is `p + n` — pushing parents'
             // children in order lands each at exactly that index.
             self.chains.push(child);
@@ -287,7 +277,7 @@ where
             self.chains[n + p].scale_to(width);
         }
         for chain in &mut self.chains {
-            chain.fence_for_reshard();
+            chain.fence_for_migration();
         }
         self.router.merge();
         let mut moved = 0;
@@ -303,7 +293,7 @@ where
                 moved += segment.len();
                 self.chains[p].install_segment(k, segment);
             }
-            self.chains[p].rebalance_fenced();
+            self.chains[p].rebalance();
             self.retired.push(child.finish());
         }
         moved
@@ -342,13 +332,20 @@ where
         }
     }
 
-    /// Replays a driver schedule through the mesh, firing the plan's
-    /// reshapings at their event indexes.  Call once; then
-    /// [`MeshPipeline::finish`].
-    pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &MeshPlan) {
+    /// The one driver loop of a mesh: replays `events` through the
+    /// router, firing the plan's reshapings at their event indexes, and
+    /// calls `after_inject` with the consumed-event count after every
+    /// injection (the checkpoint cadence).  Plan steps at or past the end
+    /// still run, exactly like a chain-level [`crate::ScalePlan`]'s.
+    fn replay(
+        &mut self,
+        events: &[DriverEvent<R, S>],
+        plan: &MeshPlan,
+        mut after_inject: impl FnMut(&mut Self, usize, &DriverEvent<R, S>),
+    ) {
         let cancel = self.options.cancel.clone().unwrap_or_default();
         let mut steps = plan.steps.iter().peekable();
-        for (idx, event) in schedule.events().iter().enumerate() {
+        for (idx, event) in events.iter().enumerate() {
             while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
                 self.reshape(step.shards, step.width, idx);
             }
@@ -357,15 +354,20 @@ where
                 break;
             }
             self.inject(event);
+            after_inject(self, idx + 1, event);
         }
         if !self.cancelled {
-            // Trailing steps (at or past the schedule end) still run,
-            // exactly like a chain-level ScalePlan's.
-            let trailing: Vec<_> = steps.copied().collect();
-            for step in trailing {
-                self.reshape(step.shards, step.width, schedule.events().len());
+            for step in steps {
+                self.reshape(step.shards, step.width, events.len());
             }
         }
+    }
+
+    /// Replays a driver schedule through the mesh, firing the plan's
+    /// reshapings at their event indexes.  Call once; then
+    /// [`MeshPipeline::finish`].
+    pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &MeshPlan) {
+        self.replay(schedule.events(), plan, |_, _, _| {});
     }
 
     /// Drains every chain and returns the merged outcome.
@@ -401,23 +403,24 @@ where
     P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
     H: HomePolicy + Clone,
 {
-    /// Realigns the per-shard checkpointers after a reshape: every live
-    /// shard must write the *same* global checkpoint sequence number, or
-    /// [`load_latest_mesh`] would refuse the set as torn.  Split-created
-    /// shards join the sequence via [`ChainCheckpointer::starting_at`];
-    /// merged-away shards simply stop writing (their stale higher-index
-    /// blobs are ignored because the anchor's `shards` field shrinks).
+    /// Realigns the per-shard checkpointers with `shards` live shards
+    /// after a reshape: every live shard must write the *same* global
+    /// checkpoint sequence number, or [`load_latest_mesh`] would refuse
+    /// the set as torn.  Split-created shards join the sequence via
+    /// [`ChainCheckpointer::starting_at`]; merged-away shards simply stop
+    /// writing (their stale higher-index blobs are ignored because the
+    /// anchor's `shards` field shrinks).
     fn sync_checkpointers(
-        &self,
         checkpointers: &mut Vec<ChainCheckpointer<R, S>>,
+        shards: usize,
         full_interval: u64,
     ) {
         let seq = checkpointers.first().map_or(0, |c| c.next_seq());
-        while checkpointers.len() < self.chains.len() {
+        while checkpointers.len() < shards {
             let shard = checkpointers.len();
             checkpointers.push(ChainCheckpointer::starting_at(shard, full_interval, seq));
         }
-        checkpointers.truncate(self.chains.len());
+        checkpointers.truncate(shards);
     }
 
     /// [`MeshPipeline::run_schedule`] with durability: every consumed
@@ -437,64 +440,39 @@ where
         let mut checkpointers: Vec<ChainCheckpointer<R, S>> = (0..self.chains.len())
             .map(|shard| ChainCheckpointer::new(shard, cfg.full_interval))
             .collect();
+        // Reshapes already applied to `checkpointers`.
+        let mut synced = 0;
         let mut log: ReplayLog<R, S> = ReplayLog::new(cfg.replay_capacity);
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        let mut steps = plan.steps.iter().peekable();
-        for (idx, event) in schedule.events().iter().enumerate() {
-            while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-                self.reshape(step.shards, step.width, idx);
-                self.sync_checkpointers(&mut checkpointers, cfg.full_interval);
-            }
-            if cancel.is_cancelled() || self.pace(event.at, &cancel) {
-                self.cancelled = true;
-                break;
-            }
+        self.replay(schedule.events(), plan, |mesh, consumed, event| {
             log.record(event.clone());
-            self.inject(event);
-            let consumed = idx + 1;
-            if consumed.is_multiple_of(cfg.every_events) {
-                // The driver is single-threaded, so no event lands between
-                // the per-chain captures: each chain fences inside
-                // `capture_checkpoint` and every shard observes the same
-                // consumed-event prefix — a coordinated cut by
-                // construction.
-                let epoch = self.reshard_log.len() as u64;
-                let shards = self.chains.len() as u32;
-                let mut all_landed = true;
-                for (shard, chain) in self.chains.iter_mut().enumerate() {
-                    let ckpt = chain.capture_checkpoint(epoch, shards, consumed as u64);
-                    if checkpointers[shard]
-                        .append(cfg.store.as_ref(), ckpt)
-                        .is_err()
-                    {
-                        all_landed = false;
-                    }
-                }
-                if all_landed {
-                    log.trim_to(consumed);
+            if !consumed.is_multiple_of(cfg.every_events) {
+                return;
+            }
+            for reshape in &mesh.reshard_log[synced..] {
+                Self::sync_checkpointers(&mut checkpointers, reshape.to_shards, cfg.full_interval);
+            }
+            synced = mesh.reshard_log.len();
+            // The driver is single-threaded, so no event lands between the
+            // per-chain captures: each chain fences inside
+            // `capture_checkpoint` and every shard observes the same
+            // consumed-event prefix — a coordinated cut by construction.
+            let epoch = mesh.reshard_log.len() as u64;
+            let shards = mesh.chains.len() as u32;
+            let mut all_landed = true;
+            for (shard, chain) in mesh.chains.iter_mut().enumerate() {
+                let ckpt = chain.capture_checkpoint(epoch, shards, consumed as u64);
+                if checkpointers[shard]
+                    .append(cfg.store.as_ref(), ckpt)
+                    .is_err()
+                {
+                    all_landed = false;
                 }
             }
-        }
-        if !self.cancelled {
-            let trailing: Vec<_> = steps.copied().collect();
-            for step in trailing {
-                self.reshape(step.shards, step.width, schedule.events().len());
+            if all_landed {
+                log.trim_to(consumed);
             }
-        }
+        });
         (self.cancelled, log)
-    }
-
-    /// Replays raw driver events through the router (the recovery suffix)
-    /// until exhausted or cancelled.
-    pub(crate) fn replay_events(&mut self, events: &[DriverEvent<R, S>]) {
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        for event in events {
-            if cancel.is_cancelled() || self.pace(event.at, &cancel) {
-                self.cancelled = true;
-                break;
-            }
-            self.inject(event);
-        }
     }
 }
 
@@ -569,7 +547,7 @@ where
             mesh.chains[shard].restore_checkpoint(ckpt);
         }
     }
-    mesh.replay_events(&suffix);
+    mesh.replay(&suffix, &MeshPlan::none(), |_, _, _| {});
     Ok(mesh.finish())
 }
 
@@ -611,13 +589,12 @@ where
 mod tests {
     use super::*;
     use crate::elastic::{llhj_factory, llhj_indexed_factory};
+    use crate::fixtures::schedule;
     use crate::options::Pacing;
     use llhj_baselines::run_kang;
     use llhj_core::homing::RoundRobin;
     use llhj_core::predicate::{EquiPredicate, FnPredicate};
     use llhj_core::punctuation::verify_punctuated_stream;
-    use llhj_core::time::TimeDelta;
-    use llhj_core::window::WindowSpec;
 
     type KeyFn = fn(&u32) -> u64;
 
@@ -633,21 +610,6 @@ mod tests {
             r.abs_diff(*s) <= 1
         }
         FnPredicate(near as fn(&u32, &u32) -> bool)
-    }
-
-    fn schedule(tuples: u64, window_ms: u64) -> DriverSchedule<u32, u32> {
-        let r: Vec<_> = (0..tuples)
-            .map(|i| (Timestamp::from_millis(i), (i % 13) as u32))
-            .collect();
-        let s: Vec<_> = (0..tuples)
-            .map(|i| (Timestamp::from_millis(i), (i % 17) as u32))
-            .collect();
-        DriverSchedule::build(
-            r,
-            s,
-            WindowSpec::Time(TimeDelta::from_millis(window_ms)),
-            WindowSpec::Time(TimeDelta::from_millis(window_ms)),
-        )
     }
 
     fn opts() -> PipelineOptions {

@@ -6,13 +6,14 @@
 //! is therefore a bundle of atomics that producers update with relaxed
 //! stores and the sampler reads at its own pace:
 //!
-//! * **arrival counter** — bumped by the driver once per injected tuple;
-//!   the sampler differentiates it against the stream clock to get the
-//!   observed arrival rate.
+//! * **arrival counter** — published by the driver (its one writer) with
+//!   a store after every injected tuple; the sampler differentiates it
+//!   against the stream clock to get the observed arrival rate.
 //! * **result-latency EWMA** — the collector folds every result's latency
-//!   into an exponentially weighted moving average
-//!   ([`llhj_core::metrics::LatencyEwma`] semantics) kept as `f64` bits in
-//!   an `AtomicU64` (compare-and-swap loop, no lock).
+//!   into its own [`llhj_core::metrics::LatencyEwma`] and publishes the
+//!   average, as `f64` bits in an `AtomicU64`, and the result count once
+//!   per vacuum pass: plain stores from the one writer, no atomic
+//!   read-modify-write per result.
 //! * **per-node busy counters** — each worker owns an `Arc<AtomicU64>` of
 //!   nanoseconds spent processing frames; the registry that hands the
 //!   slots out is behind a mutex, but it is touched only by the control
@@ -32,8 +33,8 @@
 //! Every `Ordering` below is deliberate (this file is on the house
 //! lint's `Relaxed` whitelist):
 //!
-//! * `arrivals`, `results`, the `latency_bits` CAS and the `node_busy`
-//!   slots are **monotonic statistics**.  Nothing is published *through*
+//! * `arrivals`, `results`, `latency_bits` and the `node_busy` slots are
+//!   **statistics**.  Nothing is published *through*
 //!   them — no consumer dereferences other memory on the strength of a
 //!   counter value, and the sampler tolerates any interleaving of the
 //!   individual updates (it differentiates against its own clock).
@@ -51,12 +52,6 @@
 use llhj_core::time::TimeDelta;
 use llhj_sync::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use llhj_sync::sync::{Arc, Mutex};
-
-/// Smoothing factor of the collector's result-latency EWMA.  Shared with
-/// the simulator mirror (both alias
-/// [`llhj_core::metrics::DEFAULT_LATENCY_ALPHA`]) so the two substrates
-/// derive the same latency signal from the same result stream.
-pub const LATENCY_EWMA_ALPHA: f64 = llhj_core::metrics::DEFAULT_LATENCY_ALPHA;
 
 type OccupancyProbe = Box<dyn Fn() -> (usize, usize) + Send + Sync>;
 
@@ -91,10 +86,10 @@ impl MetricsBus {
         Self::default()
     }
 
-    /// Records one injected tuple arrival (driver hot path: one relaxed
-    /// `fetch_add`).
-    pub fn note_arrival(&self) {
-        self.arrivals.fetch_add(1, Ordering::Relaxed);
+    /// Publishes the number of tuple arrivals injected so far (driver hot
+    /// path, the counter's one writer: one relaxed store).
+    pub fn publish_arrivals(&self, total: u64) {
+        self.arrivals.store(total, Ordering::Relaxed);
     }
 
     /// Total tuple arrivals injected so far (both streams).
@@ -102,29 +97,13 @@ impl MetricsBus {
         self.arrivals.load(Ordering::Relaxed)
     }
 
-    /// Folds one result latency into the EWMA and bumps the result
-    /// counter (collector hot path: lock-free CAS loop).
-    pub fn observe_latency(&self, latency: TimeDelta) {
-        self.results.fetch_add(1, Ordering::Relaxed);
-        let us = latency.as_micros() as f64;
-        let mut current = self.latency_bits.load(Ordering::Relaxed);
-        loop {
-            let next = if current == u64::MAX {
-                us
-            } else {
-                let prev = f64::from_bits(current);
-                prev + LATENCY_EWMA_ALPHA * (us - prev)
-            };
-            match self.latency_bits.compare_exchange_weak(
-                current,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
+    /// Publishes the collector's result count and latency EWMA in
+    /// microseconds (once per vacuum pass, from the collector — the one
+    /// writer: two relaxed stores).
+    pub fn publish_latency(&self, results: u64, ewma_us: f64) {
+        self.results.store(results, Ordering::Relaxed);
+        self.latency_bits
+            .store(ewma_us.to_bits(), Ordering::Relaxed);
     }
 
     /// Current result-latency EWMA (zero before the first result).
@@ -220,11 +199,15 @@ mod tests {
 
     #[test]
     fn ewma_matches_the_core_reference() {
+        use llhj_core::metrics::{LatencyEwma, DEFAULT_LATENCY_ALPHA};
         let bus = MetricsBus::new();
         assert_eq!(bus.latency_ewma(), TimeDelta::ZERO);
-        let mut reference = llhj_core::metrics::LatencyEwma::new(LATENCY_EWMA_ALPHA);
-        for ms in [10u64, 30, 20, 5, 40] {
-            bus.observe_latency(TimeDelta::from_millis(ms));
+        // The collector's fold, published after every observation.
+        let mut fold = LatencyEwma::new(DEFAULT_LATENCY_ALPHA);
+        let mut reference = LatencyEwma::new(DEFAULT_LATENCY_ALPHA);
+        for (n, ms) in [10u64, 30, 20, 5, 40].into_iter().enumerate() {
+            fold.observe(TimeDelta::from_millis(ms));
+            bus.publish_latency(n as u64 + 1, fold.value_us());
             reference.observe(TimeDelta::from_millis(ms));
         }
         let got = bus.latency_ewma().as_micros() as i64;
@@ -263,8 +246,8 @@ mod tests {
     #[test]
     fn arrival_counter_counts() {
         let bus = MetricsBus::new();
-        bus.note_arrival();
-        bus.note_arrival();
+        bus.publish_arrivals(1);
+        bus.publish_arrivals(2);
         assert_eq!(bus.arrivals(), 2);
         bus.set_nodes(3);
         assert_eq!(bus.nodes(), 3);

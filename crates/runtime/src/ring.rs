@@ -283,13 +283,14 @@ impl<T> Ring<T> {
                     Ok(()) => break,
                     Err(back) => item = back,
                 }
-                // ordering: Acquire as above — re-check the receiver so a
-                // consumer that vanished while we were full cannot strand
-                // us parked forever.
+                self.space.wait(seen, FULL_PARK);
+                // ordering: Acquire as above — re-check the receiver after
+                // every park: a consumer that vanished while we were full
+                // fails the send (its drop drains the ring, so the retry
+                // would otherwise land in a ring nobody reads).
                 if !self.receiver_alive.load(Ordering::Acquire) {
                     return Err(SendError(item));
                 }
-                self.space.wait(seen, FULL_PARK);
             }
         } else {
             // FIFO across the spillway: while the spillway holds frames

@@ -1,10 +1,7 @@
 //! Simulation configuration.
 
 use crate::cost::CostModel;
-use llhj_core::node::PipelineNode;
-use llhj_core::node_hsj::{FlowPolicy, HsjNode, SegmentCapacity};
-use llhj_core::node_llhj::LlhjNode;
-use llhj_core::predicate::JoinPredicate;
+use llhj_core::node_hsj::{FlowPolicy, SegmentCapacity};
 use llhj_core::time::TimeDelta;
 use llhj_core::window::WindowSpec;
 
@@ -114,31 +111,6 @@ impl SimConfig {
         };
         SegmentCapacity::balanced(clamp(wr), clamp(ws), self.nodes)
     }
-
-    /// Builds the pipeline nodes for this configuration.
-    pub fn build_nodes<R, S, P>(&self, predicate: &P) -> Vec<Box<dyn PipelineNode<R, S>>>
-    where
-        R: Clone + Send + Sync + 'static,
-        S: Clone + Send + Sync + 'static,
-        P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    {
-        (0..self.nodes)
-            .map(|k| -> Box<dyn PipelineNode<R, S>> {
-                match self.algorithm {
-                    Algorithm::Llhj => Box::new(LlhjNode::new(k, self.nodes, predicate.clone())),
-                    Algorithm::LlhjIndexed => {
-                        Box::new(LlhjNode::with_index(k, self.nodes, predicate.clone()))
-                    }
-                    Algorithm::Hsj => Box::new(HsjNode::new(
-                        k,
-                        self.nodes,
-                        self.hsj_flow(),
-                        predicate.clone(),
-                    )),
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +143,8 @@ mod tests {
         let pred = FnPredicate(|r: &u32, s: &u32| r == s);
         for algo in [Algorithm::Llhj, Algorithm::LlhjIndexed, Algorithm::Hsj] {
             let cfg = SimConfig::new(3, algo);
-            let nodes = cfg.build_nodes::<u32, u32, _>(&pred);
+            let factory = crate::elastic::node_factory::<u32, u32, _>(&cfg, pred.clone());
+            let nodes: Vec<_> = (0..cfg.nodes).map(|k| factory(k, cfg.nodes)).collect();
             assert_eq!(nodes.len(), 3);
             for (k, n) in nodes.iter().enumerate() {
                 assert_eq!(n.node_id(), k);

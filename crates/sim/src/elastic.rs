@@ -22,11 +22,16 @@
 //! nodes' `busy_until` horizon moves past the fence end and the following
 //! frames queue behind it, exactly like the runtime's driver catching up
 //! after a reconfiguration pause.
+//!
+//! Every simulated chain — fixed, planned, autoscaled, and each chain of
+//! a mesh — is an `ElasticSim`: it owns the injector and the one entry
+//! batcher, which enforces the runtime's expiry barrier (an expiry never
+//! enters before its own arrival has settled; ARCHITECTURE invariant 8).
 
 use crate::config::{Algorithm, SimConfig};
 use crate::cost::SimNanos;
 use crate::report::SimReport;
-use llhj_core::driver::{DriverSchedule, Injector, StreamEvent};
+use llhj_core::driver::{DriverEvent, DriverSchedule, Injector, StreamEvent};
 use llhj_core::homing::HomePolicy;
 use llhj_core::message::{
     Direction, LeftToRight, MessageBatch, NodeOutput, RightToLeft, WindowSegment,
@@ -42,14 +47,17 @@ use llhj_core::rebalance::{shed_ranges, MigrationConstraint, RedistributionPlan}
 use llhj_core::result::TimedResult;
 use llhj_core::stats::{LatencySeries, LatencySummary};
 use llhj_core::time::{TimeDelta, Timestamp};
+use llhj_core::tuple::SeqNo;
 use llhj_sync::sync::Arc;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-fn ts_to_ns(ts: Timestamp) -> SimNanos {
+/// Converts a stream timestamp to virtual nanoseconds.
+pub(crate) fn ts_to_ns(ts: Timestamp) -> SimNanos {
     ts.as_micros().saturating_mul(1_000)
 }
 
+/// Converts virtual nanoseconds to a stream timestamp (microsecond floor).
 fn ns_to_ts(ns: SimNanos) -> Timestamp {
     Timestamp::from_micros(ns / 1_000)
 }
@@ -190,13 +198,94 @@ impl<R, S> Ord for HeapEntry<R, S> {
     }
 }
 
-/// One simulated elastic chain.  Crate-visible so the shard-mesh mirror
-/// ([`crate::mesh`]) can drive a fleet of these through the same fenced
-/// split/merge protocol the threaded mesh uses.
-pub(crate) struct ElasticSim<R, S> {
+/// One direction's entry-frame assembly: the pending messages, how many
+/// of them are arrivals (expiries ride along without counting towards the
+/// cap), and the arrivals that may not have settled yet.  The virtual-time
+/// twin of the runtime's `exec::EntryBatcher`, minus the idle-link rule
+/// (the simulator has no link occupancy to read).
+struct EntryBatcher<M> {
+    pending: Vec<M>,
+    arrivals: usize,
+    /// `(seq, ts)` of every arrival pushed that may not have finished its
+    /// traversal yet — still pending here, or in the event heap — in
+    /// ascending `seq`.  Pruned against the direction's traversal-end
+    /// high-water mark; the expiry barrier consults it.
+    unsettled: VecDeque<(SeqNo, Timestamp)>,
+    /// Arrivals pushed over the whole run.
+    injected: usize,
+}
+
+impl<M> EntryBatcher<M> {
+    fn new() -> Self {
+        EntryBatcher {
+            pending: Vec::new(),
+            arrivals: 0,
+            unsettled: VecDeque::new(),
+            injected: 0,
+        }
+    }
+
+    /// Queues arrival `seq` (timestamp `ts`), counting it towards the cap
+    /// and tracking it until the traversal-end mark `mark` passes it.
+    fn push_arrival(&mut self, msg: M, seq: SeqNo, ts: Timestamp, mark: Timestamp) {
+        self.forget_settled(mark);
+        self.unsettled.push_back((seq, ts));
+        self.pending.push(msg);
+        self.arrivals += 1;
+        self.injected += 1;
+    }
+
+    /// Forgets the arrivals older than `mark`: arrivals travel a direction
+    /// in FIFO order, so every arrival sent before the one that set the
+    /// mark has passed its home node too.  An arrival *at* the mark may
+    /// share its timestamp with one still behind it, so it stays.
+    fn forget_settled(&mut self, mark: Timestamp) {
+        while self.unsettled.front().is_some_and(|&(_, ts)| ts < mark) {
+            self.unsettled.pop_front();
+        }
+    }
+
+    /// Where arrival `seq` stands before its expiry is queued: `None` if
+    /// it has settled (or never went out through this batcher),
+    /// `Some(true)` if it is still pending here, `Some(false)` if it is in
+    /// flight.
+    fn unsettled(&mut self, seq: SeqNo, mark: Timestamp) -> Option<bool> {
+        self.forget_settled(mark);
+        let at = self
+            .unsettled
+            .binary_search_by_key(&seq, |&(s, _)| s)
+            .ok()?;
+        Some(at >= self.unsettled.len() - self.arrivals)
+    }
+
+    /// Marks every sent arrival settled: the chain has just drained.
+    fn settle_sent(&mut self) {
+        let sent = self.unsettled.len() - self.arrivals;
+        self.unsettled.drain(..sent);
+    }
+
+    /// Takes the pending frame's messages, resetting the arrival count.
+    fn take(&mut self) -> Vec<M> {
+        self.arrivals = 0;
+        std::mem::take(&mut self.pending)
+    }
+}
+
+/// One simulated chain, fixed or elastic: the node state machines, the
+/// event heap, and the driver side — the injector and the one entry
+/// batcher every simulated deployment shares.  Crate-visible so the
+/// shard-mesh mirror ([`crate::mesh`]) can drive a fleet of these through
+/// the same fenced split/merge protocol the threaded mesh uses.
+pub(crate) struct ElasticSim<R, S, P, H> {
     pub(crate) config: SimConfig,
     pub(crate) width: usize,
     pub(crate) nodes: Vec<Box<dyn PipelineNode<R, S>>>,
+    factory: NodeBuilder<R, S>,
+    predicate: P,
+    policy: H,
+    injector: Injector<R, S, P, H>,
+    left: EntryBatcher<LeftToRight<R>>,
+    right: EntryBatcher<RightToLeft<S>>,
     heap: BinaryHeap<HeapEntry<R, S>>,
     event_seq: u64,
     pub(crate) busy_until: Vec<SimNanos>,
@@ -217,22 +306,32 @@ pub(crate) struct ElasticSim<R, S> {
     resize_log: Vec<SimResizeEvent>,
 }
 
-impl<R, S> ElasticSim<R, S>
+/// Builds the node for position `k` of `n`.
+type NodeBuilder<R, S> = Box<dyn Fn(usize, usize) -> Box<dyn PipelineNode<R, S>>>;
+
+impl<R, S, P, H> ElasticSim<R, S, P, H>
 where
-    R: Clone + Send,
-    S: Clone + Send,
+    R: Clone + Send + Sync + 'static,
+    S: Clone + Send + Sync + 'static,
+    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
+    H: HomePolicy + Clone,
 {
-    /// A fresh chain of `width` nodes built by `factory`, with nothing in
-    /// flight; the driver (single-chain or mesh) owns injection.
-    pub(crate) fn new(
-        config: &SimConfig,
-        width: usize,
-        factory: &dyn Fn(usize, usize) -> Box<dyn PipelineNode<R, S>>,
-    ) -> Self {
+    /// A fresh chain of `width` nodes of the configured algorithm, with
+    /// nothing in flight.
+    pub(crate) fn new(config: &SimConfig, width: usize, predicate: P, policy: H) -> Self {
+        assert!(width > 0, "pipeline needs at least one node");
+        assert!(config.batch_size > 0, "batch size must be positive");
+        let factory: NodeBuilder<R, S> = Box::new(node_factory(config, predicate.clone()));
         let collect_interval_ns = (config.collect_interval.as_micros().max(1)) * 1_000;
         ElasticSim {
             width,
             nodes: (0..width).map(|k| factory(k, width)).collect(),
+            factory,
+            injector: Injector::new(predicate.clone(), policy.clone(), width),
+            predicate,
+            policy,
+            left: EntryBatcher::new(),
+            right: EntryBatcher::new(),
             heap: BinaryHeap::new(),
             event_seq: 0,
             busy_until: vec![0; width],
@@ -253,6 +352,89 @@ where
             resize_log: Vec::new(),
             config: config.clone(),
         }
+    }
+
+    /// Arrivals injected so far, both streams.
+    fn arrivals(&self) -> usize {
+        self.left.injected + self.right.injected
+    }
+
+    /// Queues one driver event into its entry frame, injected at virtual
+    /// time `at_ns`.  A frame leaves once it holds `batch_size` arrivals;
+    /// the caller flushes the rest (the stream's last arrival, a fence,
+    /// the end of the run).
+    ///
+    /// Before an expiry is queued, the expiry barrier (ARCHITECTURE
+    /// invariant 8, the runtime's `EntryBatcher::settle`) checks its own
+    /// arrival: an expiry must never overtake it, and the two travel in
+    /// opposite directions.  If the arrival has not settled — still
+    /// pending in the opposite frame, or still in the event heap — the
+    /// opposite frame leaves now and the chain drains before the expiry
+    /// enters.
+    pub(crate) fn inject(&mut self, event: &DriverEvent<R, S>, at_ns: SimNanos) {
+        match &event.event {
+            StreamEvent::ArrivalR(r) => {
+                let msg = self.injector.inject_r(r.clone());
+                self.left.push_arrival(msg, r.seq, r.ts, self.hwm.r());
+                if self.left.arrivals >= self.config.batch_size {
+                    self.flush_left(at_ns);
+                }
+            }
+            StreamEvent::ArrivalS(s) => {
+                let msg = self.injector.inject_s(s.clone());
+                self.right.push_arrival(msg, s.seq, s.ts, self.hwm.s());
+                if self.right.arrivals >= self.config.batch_size {
+                    self.flush_right(at_ns);
+                }
+            }
+            StreamEvent::ExpireS(seq) => {
+                if let Some(pending) = self.right.unsettled(*seq, self.hwm.s()) {
+                    if pending {
+                        self.flush_right(at_ns);
+                    }
+                    self.drain(None);
+                    self.right.settle_sent();
+                }
+                self.left.pending.push(LeftToRight::ExpiryS(*seq));
+            }
+            StreamEvent::ExpireR(seq) => {
+                if let Some(pending) = self.left.unsettled(*seq, self.hwm.r()) {
+                    if pending {
+                        self.flush_left(at_ns);
+                    }
+                    self.drain(None);
+                    self.left.settle_sent();
+                }
+                self.right.pending.push(RightToLeft::ExpiryR(*seq));
+            }
+        }
+    }
+
+    /// Sends the pending left entry frame (if any) at `at_ns`.
+    pub(crate) fn flush_left(&mut self, at_ns: SimNanos) {
+        let msgs = self.left.take();
+        if !msgs.is_empty() {
+            self.push_frame(at_ns, 0, MessageBatch::Left(msgs));
+        }
+        self.last_injection_ns = self.last_injection_ns.max(at_ns);
+    }
+
+    /// Sends the pending right entry frame (if any) at `at_ns`.
+    pub(crate) fn flush_right(&mut self, at_ns: SimNanos) {
+        let msgs = self.right.take();
+        if !msgs.is_empty() {
+            let rightmost = self.width - 1;
+            self.push_frame(at_ns, rightmost, MessageBatch::Right(msgs));
+        }
+        self.last_injection_ns = self.last_injection_ns.max(at_ns);
+    }
+
+    /// Sends both pending entry frames at `at_ns`: before a fence, whose
+    /// frames must enter the chain their homes were assigned under, and
+    /// at the end of the run.
+    pub(crate) fn flush(&mut self, at_ns: SimNanos) {
+        self.flush_left(at_ns);
+        self.flush_right(at_ns);
     }
 
     pub(crate) fn push_frame(&mut self, at: SimNanos, node: usize, frame: MessageBatch<R, S>) {
@@ -357,16 +539,7 @@ where
                 }
             }
 
-            let detected_at = ns_to_ts(finish);
-            for result in out.results.drain(..) {
-                let timed = TimedResult::new(result, detected_at);
-                self.latency.record(timed.latency());
-                self.series.record(detected_at, timed.latency());
-                if self.config.punctuate {
-                    self.pending.push(timed.clone());
-                }
-                self.results.push(timed);
-            }
+            self.record_results(&mut out, finish);
         }
     }
 
@@ -380,17 +553,17 @@ where
         self.punctuation_count += 1;
     }
 
-    /// Records the results a migrated-segment installation produced (the
-    /// original handshake join matches the still-unmet direction of every
-    /// segment), detected at the given virtual instant.
-    fn record_migration_results(
+    /// Records the results of one frame — or of a migrated-segment
+    /// installation (the original handshake join matches the still-unmet
+    /// direction of every segment) — detected at the given virtual instant.
+    fn record_results(
         &mut self,
         out: &mut NodeOutput<R, S, llhj_core::result::ResultTuple<R, S>>,
         at_ns: SimNanos,
     ) {
         debug_assert!(
             out.to_left.is_empty() && out.to_right.is_empty(),
-            "segment installation must not emit pipeline messages"
+            "pipeline messages are forwarded before the results are recorded"
         );
         let detected_at = ns_to_ts(at_ns);
         for result in out.results.drain(..) {
@@ -405,12 +578,9 @@ where
     }
 
     /// Runs the fenced reconfiguration to `target` nodes, charging the
-    /// handoff the same way the runtime's protocol serialises it.
-    pub(crate) fn resize(
-        &mut self,
-        target: usize,
-        factory: &dyn Fn(usize, usize) -> Box<dyn PipelineNode<R, S>>,
-    ) {
+    /// handoff the same way the runtime's protocol serialises it.  The
+    /// caller flushes the entry frames first.
+    pub(crate) fn resize(&mut self, target: usize) {
         assert!(target > 0, "pipeline needs at least one node");
         let current = self.width;
         if target == current {
@@ -419,7 +589,6 @@ where
         self.drain(None);
         let fence_start = self.makespan_ns;
         let mut fence_end = fence_start;
-        let hop = self.config.cost.hop_ns_for(self.config.pin_cores);
         let mut migrated_total = 0usize;
         let mut out: NodeOutput<R, S, llhj_core::result::ResultTuple<R, S>> = NodeOutput::new();
 
@@ -440,23 +609,7 @@ where
                     self.nodes[k]
                         .import_segment(std::mem::take(&mut carried), Direction::Right, &mut out)
                         .expect("elastic simulation requires migration-capable nodes");
-                    let service = self.config.cost.frame_service_ns(
-                        tuples as u64,
-                        out.comparisons,
-                        out.results.len() as u64,
-                        false,
-                    );
-                    fence_end += hop + service;
-                    self.busy_ns[k] += service;
-                    self.frames_delivered += 1;
-                    self.messages_delivered += tuples as u64;
-                    self.record_migration_results(&mut out, fence_end);
-                    // Ack back to node k+1: one frame, one hop.
-                    let ack = self.config.cost.frame_service_ns(1, 0, 0, false);
-                    fence_end += hop + ack;
-                    if k + 1 < self.busy_ns.len() {
-                        self.busy_ns[k + 1] += ack;
-                    }
+                    self.charge_handoff(k, Some(k + 1), tuples, &mut out, &mut fence_end);
                 }
                 if k >= target {
                     carried = self.nodes[k]
@@ -481,13 +634,13 @@ where
                 delta.div_ceil(2)
             };
             for k in 0..left_delta {
-                self.nodes.insert(k, factory(k, target));
+                self.nodes.insert(k, (self.factory)(k, target));
                 self.busy_until.insert(k, fence_end);
                 self.busy_ns.insert(k, 0);
             }
             for i in 0..(delta - left_delta) {
                 let k = left_delta + current + i;
-                self.nodes.push(factory(k, target));
+                self.nodes.push((self.factory)(k, target));
                 if self.busy_until.len() <= k {
                     self.busy_until.push(fence_end);
                     self.busy_ns.push(0);
@@ -500,6 +653,7 @@ where
                 .expect("elastic simulation requires migration-capable nodes");
         }
         self.width = target;
+        self.injector = Injector::new(self.predicate.clone(), self.policy.clone(), target);
 
         // Chain-wide redistribution: the same balanced plan the runtime
         // computes from its worker census, executed on the same node
@@ -531,6 +685,41 @@ where
         });
     }
 
+    /// Charges one migrated segment of `tuples` tuples installed at node
+    /// `to`: a hop plus frame reception with per-tuple message cost and
+    /// the installation's matching work (`out`, whose results are
+    /// recorded), then an ack frame and a hop back to the shedding node
+    /// `ack_to` (`None`: another chain).  The runtime serialises its
+    /// segment/ack protocol one transfer at a time, so `fence_end`
+    /// advances by every step.
+    pub(crate) fn charge_handoff(
+        &mut self,
+        to: usize,
+        ack_to: Option<usize>,
+        tuples: usize,
+        out: &mut NodeOutput<R, S, llhj_core::result::ResultTuple<R, S>>,
+        fence_end: &mut SimNanos,
+    ) {
+        let cost = &self.config.cost;
+        let hop = cost.hop_ns_for(self.config.pin_cores);
+        let service = cost.frame_service_ns(
+            tuples as u64,
+            out.comparisons,
+            out.results.len() as u64,
+            false,
+        );
+        let ack = cost.frame_service_ns(1, 0, 0, false);
+        *fence_end += hop + service;
+        self.busy_ns[to] += service;
+        self.frames_delivered += 1;
+        self.messages_delivered += tuples as u64;
+        self.record_results(out, *fence_end);
+        *fence_end += hop + ack;
+        if let Some(slot) = ack_to.and_then(|k| self.busy_ns.get_mut(k)) {
+            *slot += ack;
+        }
+    }
+
     /// The chain-wide balanced redistribution, on an already-drained
     /// chain: the same census → [`RedistributionPlan`] → hop-charged
     /// segment/ack pass a resize ends with, callable on its own — the
@@ -541,7 +730,6 @@ where
         if self.width <= 1 {
             return 0;
         }
-        let hop = self.config.cost.hop_ns_for(self.config.pin_cores);
         let mut out: NodeOutput<R, S, llhj_core::result::ResultTuple<R, S>> = NodeOutput::new();
         let mut rebalanced = 0usize;
         let census: Vec<(usize, usize)> = self.nodes.iter().map(|n| n.window_census()).collect();
@@ -562,20 +750,13 @@ where
             self.nodes[transfer.to]
                 .import_segment(segment, direction.opposite(), &mut out)
                 .expect("elastic simulation requires migration-capable nodes");
-            let service = self.config.cost.frame_service_ns(
-                tuples as u64,
-                out.comparisons,
-                out.results.len() as u64,
-                false,
+            self.charge_handoff(
+                transfer.to,
+                Some(transfer.from),
+                tuples,
+                &mut out,
+                fence_end,
             );
-            *fence_end += hop + service;
-            self.busy_ns[transfer.to] += service;
-            self.frames_delivered += 1;
-            self.messages_delivered += tuples as u64;
-            self.record_migration_results(&mut out, *fence_end);
-            let ack = self.config.cost.frame_service_ns(1, 0, 0, false);
-            *fence_end += hop + ack;
-            self.busy_ns[transfer.from] += ack;
             rebalanced += tuples;
         }
         rebalanced
@@ -740,9 +921,11 @@ where
     }
 }
 
-/// The single elastic driver loop: batches and injects the schedule,
-/// letting `steering` fence-and-resize the chain between events.  Both
-/// public entry points wrap it.
+/// The one driver loop of a simulated chain: replays the schedule
+/// through the chain's entry batcher, letting `steering` fence-and-resize
+/// the chain between events.  [`crate::engine::run_simulation`],
+/// [`run_elastic_simulation`] and [`run_autoscaled_simulation`] all wrap
+/// it.
 fn run_elastic_driver<R, S, P, H>(
     config: &SimConfig,
     predicate: P,
@@ -756,64 +939,20 @@ where
     P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
     H: HomePolicy + Clone,
 {
-    assert!(config.nodes > 0, "pipeline needs at least one node");
-    assert!(config.batch_size > 0, "batch size must be positive");
-
-    let factory = node_factory(config, predicate.clone());
-
-    let width = config.nodes;
-    let mut sim = ElasticSim::new(config, width, &factory);
-
-    let mut injector = Injector::new(predicate.clone(), policy.clone(), width);
-    let mut left_buf: Vec<LeftToRight<R>> = Vec::new();
-    let mut right_buf: Vec<RightToLeft<S>> = Vec::new();
-    let mut left_arrivals = 0usize;
-    let mut right_arrivals = 0usize;
-    let mut seen_r = 0usize;
-    let mut seen_s = 0usize;
+    let mut sim = ElasticSim::new(config, config.nodes, predicate, policy);
     let mut last_at = Timestamp::ZERO;
-
-    macro_rules! flush_left {
-        ($at_ns:expr) => {
-            if !left_buf.is_empty() {
-                let frame = MessageBatch::Left(std::mem::take(&mut left_buf));
-                sim.push_frame($at_ns, 0, frame);
-            }
-            sim.last_injection_ns = sim.last_injection_ns.max($at_ns);
-        };
-    }
-    macro_rules! flush_right {
-        ($at_ns:expr) => {
-            if !right_buf.is_empty() {
-                let frame = MessageBatch::Right(std::mem::take(&mut right_buf));
-                let rightmost = sim.width - 1;
-                sim.push_frame($at_ns, rightmost, frame);
-            }
-            sim.last_injection_ns = sim.last_injection_ns.max($at_ns);
-        };
-    }
-    /// Entry frames assembled for the old chain must enter it before the
-    /// fence: their homes were assigned under the old width.
-    macro_rules! fence_and_resize {
-        ($target:expr, $at_ns:expr) => {
-            flush_left!($at_ns);
-            flush_right!($at_ns);
-            left_arrivals = 0;
-            right_arrivals = 0;
-            sim.resize($target, &factory);
-            injector = Injector::new(predicate.clone(), policy.clone(), $target);
-        };
-    }
+    // Entry frames assembled for the old chain enter it before the fence:
+    // their homes were assigned under the old width.
+    let fence_and_resize = |sim: &mut ElasticSim<R, S, P, H>, target: usize, at_ns: SimNanos| {
+        sim.flush(at_ns);
+        sim.resize(target);
+    };
 
     for (idx, event) in schedule.events().iter().enumerate() {
         match steering {
             Steering::Plan(steps) => {
-                while let Some(&(after, target)) = steps.peek() {
-                    if after > idx {
-                        break;
-                    }
-                    steps.next();
-                    fence_and_resize!(target, ts_to_ns(last_at));
+                while let Some((_, target)) = steps.next_if(|&(after, _)| after <= idx) {
+                    fence_and_resize(&mut sim, target, ts_to_ns(last_at));
                 }
             }
             Steering::Auto {
@@ -842,7 +981,7 @@ where
                         ewma.observe(sim.results[*ewma_fed].latency());
                         *ewma_fed += 1;
                     }
-                    let arrivals = seen_r + seen_s;
+                    let arrivals = sim.arrivals();
                     let rate = (arrivals - *prev_arrivals) as f64 / 2.0 / interval.as_secs_f64();
                     let nodes = sim.width;
                     let interval_ns = (interval.as_micros().max(1) * 1_000) as f64;
@@ -869,7 +1008,7 @@ where
                                 from_nodes: sim.width,
                                 to_nodes: target,
                             });
-                            fence_and_resize!(target, ts_to_ns(last_at.max(boundary)));
+                            fence_and_resize(&mut sim, target, ts_to_ns(last_at.max(boundary)));
                         }
                     }
                     report.samples.push(sample);
@@ -881,37 +1020,28 @@ where
         }
 
         last_at = event.at;
-        match &event.event {
-            StreamEvent::ArrivalR(r) => {
-                left_buf.push(injector.inject_r(r.clone()));
-                left_arrivals += 1;
-                seen_r += 1;
-                if left_arrivals >= config.batch_size || seen_r == schedule.r_count() {
-                    flush_left!(ts_to_ns(event.at));
-                    left_arrivals = 0;
-                }
+        let at_ns = ts_to_ns(event.at);
+        sim.inject(event, at_ns);
+        // A stream's last arrival leaves at once: a real driver stops
+        // waiting for more tuples once the stream ends, and holding the
+        // tail back would charge it the delay of the trailing expiry
+        // events instead of the batching delay.
+        match event.event {
+            StreamEvent::ArrivalR(_) if sim.left.injected == schedule.r_count() => {
+                sim.flush_left(at_ns)
             }
-            StreamEvent::ExpireS(seq) => left_buf.push(LeftToRight::ExpiryS(*seq)),
-            StreamEvent::ArrivalS(s) => {
-                right_buf.push(injector.inject_s(s.clone()));
-                right_arrivals += 1;
-                seen_s += 1;
-                if right_arrivals >= config.batch_size || seen_s == schedule.s_count() {
-                    flush_right!(ts_to_ns(event.at));
-                    right_arrivals = 0;
-                }
+            StreamEvent::ArrivalS(_) if sim.right.injected == schedule.s_count() => {
+                sim.flush_right(at_ns)
             }
-            StreamEvent::ExpireR(seq) => right_buf.push(RightToLeft::ExpiryR(*seq)),
+            _ => {}
         }
     }
-    let final_ns = ts_to_ns(last_at);
-    flush_left!(final_ns);
-    flush_right!(final_ns);
+    sim.flush(ts_to_ns(last_at));
     sim.drain(None);
     // Trailing plan steps (a resize on the very last event) still run.
     if let Steering::Plan(steps) = steering {
         for (_, target) in steps.by_ref() {
-            sim.resize(target, &factory);
+            sim.resize(target);
         }
     }
     if config.punctuate {
@@ -1006,260 +1136,13 @@ where
     (sim_report, report)
 }
 
-/// Runs an elastic simulation with durability engaged: every consumed
-/// `every_events`-th schedule event the chain fences (complete heap
-/// drain) and captures a checkpoint, charging the serialise-and-write
-/// cost in virtual time — the mirror of the runtime's
-/// `run_schedule_checkpointed`.  `crash_after_events` simulates the
-/// driver dying right before injecting that event index: the loop stops
-/// there with a clean injected prefix (everything injected is processed,
-/// nothing else enters), which is exactly the prefix property the
-/// runtime's cancel-during-run crash model guarantees.
-///
-/// Returns the (possibly crashed) report, the checkpoint log, and the
-/// latest captured checkpoint for [`recover_simulation`].
-#[allow(clippy::type_complexity)]
-pub fn run_checkpointed_simulation<R, S, P, H>(
-    config: &SimConfig,
-    predicate: P,
-    policy: H,
-    schedule: &DriverSchedule<R, S>,
-    plan: &[(usize, usize)],
-    every_events: usize,
-    crash_after_events: Option<usize>,
-) -> (
-    ElasticSimReport<R, S>,
-    Vec<SimCheckpointEvent>,
-    Option<SimCheckpoint<R, S>>,
-)
-where
-    R: Clone + Send + Sync + 'static,
-    S: Clone + Send + Sync + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
-{
-    assert!(config.nodes > 0, "pipeline needs at least one node");
-    assert!(config.batch_size > 0, "batch size must be positive");
-    let every = every_events.max(1);
-    let factory = node_factory(config, predicate.clone());
-    let mut sim = ElasticSim::new(config, config.nodes, &factory);
-    let mut injector = Injector::new(predicate.clone(), policy.clone(), config.nodes);
-    let mut plan: Vec<(usize, usize)> = plan.to_vec();
-    plan.sort_by_key(|(after, _)| *after);
-    let mut steps = plan.into_iter().peekable();
-
-    let mut left_buf: Vec<LeftToRight<R>> = Vec::new();
-    let mut right_buf: Vec<RightToLeft<S>> = Vec::new();
-    let mut left_arrivals = 0usize;
-    let mut right_arrivals = 0usize;
-    let mut seen_r = 0usize;
-    let mut seen_s = 0usize;
-    let mut last_at = Timestamp::ZERO;
-    let mut checkpoint_log = Vec::new();
-    let mut latest: Option<SimCheckpoint<R, S>> = None;
-    let mut crashed = false;
-
-    macro_rules! flush_both {
-        ($at_ns:expr) => {
-            if !left_buf.is_empty() {
-                let frame = MessageBatch::Left(std::mem::take(&mut left_buf));
-                sim.push_frame($at_ns, 0, frame);
-            }
-            if !right_buf.is_empty() {
-                let rightmost = sim.width - 1;
-                let frame = MessageBatch::Right(std::mem::take(&mut right_buf));
-                sim.push_frame($at_ns, rightmost, frame);
-            }
-            sim.last_injection_ns = sim.last_injection_ns.max($at_ns);
-        };
-    }
-
-    for (idx, event) in schedule.events().iter().enumerate() {
-        while let Some(&(after, target)) = steps.peek() {
-            if after > idx {
-                break;
-            }
-            steps.next();
-            flush_both!(ts_to_ns(last_at));
-            left_arrivals = 0;
-            right_arrivals = 0;
-            sim.resize(target, &factory);
-            injector = Injector::new(predicate.clone(), policy.clone(), target);
-        }
-        if crash_after_events == Some(idx) {
-            crashed = true;
-            break;
-        }
-        last_at = event.at;
-        match &event.event {
-            StreamEvent::ArrivalR(r) => {
-                left_buf.push(injector.inject_r(r.clone()));
-                left_arrivals += 1;
-                seen_r += 1;
-                if left_arrivals >= config.batch_size || seen_r == schedule.r_count() {
-                    let at_ns = ts_to_ns(event.at);
-                    if !left_buf.is_empty() {
-                        let frame = MessageBatch::Left(std::mem::take(&mut left_buf));
-                        sim.push_frame(at_ns, 0, frame);
-                    }
-                    sim.last_injection_ns = sim.last_injection_ns.max(at_ns);
-                    left_arrivals = 0;
-                }
-            }
-            StreamEvent::ExpireS(seq) => left_buf.push(LeftToRight::ExpiryS(*seq)),
-            StreamEvent::ArrivalS(s) => {
-                right_buf.push(injector.inject_s(s.clone()));
-                right_arrivals += 1;
-                seen_s += 1;
-                if right_arrivals >= config.batch_size || seen_s == schedule.s_count() {
-                    let at_ns = ts_to_ns(event.at);
-                    if !right_buf.is_empty() {
-                        let rightmost = sim.width - 1;
-                        let frame = MessageBatch::Right(std::mem::take(&mut right_buf));
-                        sim.push_frame(at_ns, rightmost, frame);
-                    }
-                    sim.last_injection_ns = sim.last_injection_ns.max(at_ns);
-                    right_arrivals = 0;
-                }
-            }
-            StreamEvent::ExpireR(seq) => right_buf.push(RightToLeft::ExpiryR(*seq)),
-        }
-        let consumed = idx + 1;
-        if consumed.is_multiple_of(every) {
-            // Entry frames must enter before the fence: their homes were
-            // assigned under the current width.
-            flush_both!(ts_to_ns(last_at));
-            left_arrivals = 0;
-            right_arrivals = 0;
-            sim.drain(None);
-            let (ckpt, evt) = sim.capture_checkpoint(consumed);
-            checkpoint_log.push(evt);
-            latest = Some(ckpt);
-        }
-    }
-    flush_both!(ts_to_ns(last_at));
-    sim.drain(None);
-    if !crashed {
-        for (_, target) in steps.by_ref() {
-            sim.resize(target, &factory);
-        }
-    }
-    if config.punctuate {
-        sim.collect();
-    }
-    (sim.into_report(schedule), checkpoint_log, latest)
-}
-
-/// Rebuilds a chain from `ckpt` (or cold, from nothing) and replays the
-/// schedule suffix past the checkpoint cut — the virtual-time mirror of
-/// the runtime's `recover_elastic_pipeline`.
-///
-/// Recovery is *rebased*: replayed frames keep their relative stream
-/// spacing but start at virtual zero, so the report's `makespan_ns` is
-/// the recovery time itself — install cost plus the suffix replay — which
-/// is what `bench_recovery` compares against a cold replay of the whole
-/// schedule (`ckpt = None`).  Result and punctuation values carry
-/// original stream timestamps throughout, so the recovered output splices
-/// against a crashed prefix with `llhj_core::checkpoint::splice_recovered_stream`
-/// exactly like the runtime's.
-pub fn recover_simulation<R, S, P, H>(
-    config: &SimConfig,
-    predicate: P,
-    policy: H,
-    schedule: &DriverSchedule<R, S>,
-    ckpt: Option<&SimCheckpoint<R, S>>,
-) -> ElasticSimReport<R, S>
-where
-    R: Clone + Send + Sync + 'static,
-    S: Clone + Send + Sync + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
-{
-    let factory = node_factory(config, predicate.clone());
-    let (start_idx, width) = match ckpt {
-        Some(c) => (c.after_events, c.width),
-        None => (0, config.nodes),
-    };
-    let mut sim = ElasticSim::new(config, width, &factory);
-    if let Some(c) = ckpt {
-        sim.restore_checkpoint(c);
-    }
-    let events = &schedule.events()[start_idx.min(schedule.events().len())..];
-    let rebase = events.first().map_or(0, |e| ts_to_ns(e.at));
-    let injector = Injector::new(predicate.clone(), policy.clone(), width);
-    let mut left_buf: Vec<LeftToRight<R>> = Vec::new();
-    let mut right_buf: Vec<RightToLeft<S>> = Vec::new();
-    let mut left_arrivals = 0usize;
-    let mut right_arrivals = 0usize;
-    let mut last_ns: SimNanos = 0;
-    for event in events {
-        last_ns = ts_to_ns(event.at).saturating_sub(rebase);
-        match &event.event {
-            StreamEvent::ArrivalR(r) => {
-                left_buf.push(injector.inject_r(r.clone()));
-                left_arrivals += 1;
-                if left_arrivals >= config.batch_size {
-                    let frame = MessageBatch::Left(std::mem::take(&mut left_buf));
-                    sim.push_frame(last_ns, 0, frame);
-                    sim.last_injection_ns = sim.last_injection_ns.max(last_ns);
-                    left_arrivals = 0;
-                }
-            }
-            StreamEvent::ExpireS(seq) => left_buf.push(LeftToRight::ExpiryS(*seq)),
-            StreamEvent::ArrivalS(s) => {
-                right_buf.push(injector.inject_s(s.clone()));
-                right_arrivals += 1;
-                if right_arrivals >= config.batch_size {
-                    let rightmost = sim.width - 1;
-                    let frame = MessageBatch::Right(std::mem::take(&mut right_buf));
-                    sim.push_frame(last_ns, rightmost, frame);
-                    sim.last_injection_ns = sim.last_injection_ns.max(last_ns);
-                    right_arrivals = 0;
-                }
-            }
-            StreamEvent::ExpireR(seq) => right_buf.push(RightToLeft::ExpiryR(*seq)),
-        }
-    }
-    if !left_buf.is_empty() {
-        let frame = MessageBatch::Left(std::mem::take(&mut left_buf));
-        sim.push_frame(last_ns, 0, frame);
-    }
-    if !right_buf.is_empty() {
-        let rightmost = sim.width - 1;
-        let frame = MessageBatch::Right(std::mem::take(&mut right_buf));
-        sim.push_frame(last_ns, rightmost, frame);
-    }
-    sim.last_injection_ns = sim.last_injection_ns.max(last_ns);
-    sim.drain(None);
-    if config.punctuate {
-        sim.collect();
-    }
-    sim.into_report(schedule)
-}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{eq_pred, small_schedule};
     use llhj_baselines::run_kang;
     use llhj_core::homing::RoundRobin;
-    use llhj_core::predicate::FnPredicate;
     use llhj_core::window::WindowSpec;
-
-    fn eq_pred() -> FnPredicate<fn(&u32, &u32) -> bool> {
-        fn eq(r: &u32, s: &u32) -> bool {
-            r == s
-        }
-        FnPredicate(eq as fn(&u32, &u32) -> bool)
-    }
-
-    fn small_schedule() -> DriverSchedule<u32, u32> {
-        let r: Vec<_> = (0..200u64)
-            .map(|i| (Timestamp::from_millis(i), (i % 20) as u32))
-            .collect();
-        let s: Vec<_> = (0..200u64)
-            .map(|i| (Timestamp::from_millis(i), (i % 25) as u32))
-            .collect();
-        DriverSchedule::build(r, s, WindowSpec::time_secs(1), WindowSpec::time_secs(1))
-    }
 
     fn config(nodes: usize) -> SimConfig {
         let mut cfg = SimConfig::new(nodes, Algorithm::Llhj);
@@ -1268,18 +1151,6 @@ mod tests {
         cfg.window_s = WindowSpec::time_secs(1);
         cfg.latency_bucket = 1_000_000;
         cfg
-    }
-
-    #[test]
-    fn elastic_sim_without_resizes_matches_the_fixed_engine() {
-        let schedule = small_schedule();
-        let oracle = run_kang(eq_pred(), &schedule);
-        let fixed = crate::engine::run_simulation(&config(3), eq_pred(), RoundRobin, &schedule);
-        let elastic = run_elastic_simulation(&config(3), eq_pred(), RoundRobin, &schedule, &[]);
-        assert_eq!(elastic.result_keys(), oracle.result_keys());
-        assert_eq!(elastic.result_keys(), fixed.result_keys());
-        assert!(elastic.resize_log.is_empty());
-        assert_eq!(elastic.report.nodes, 3);
     }
 
     #[test]
@@ -1524,76 +1395,6 @@ mod tests {
         let (_, again) = run();
         assert_eq!(again.decision_sequence(), autoscale.decision_sequence());
         assert_eq!(again.samples.len(), autoscale.samples.len());
-    }
-
-    /// The durability mirror end to end: checkpointing is transparent to
-    /// the result set, a crashed prefix plus a recovery from the latest
-    /// checkpoint reunites to exactly the oracle set, and recovery's
-    /// rebased makespan beats a cold replay of the whole schedule.
-    #[test]
-    fn checkpointed_sim_is_transparent_and_recovery_beats_cold_replay() {
-        let schedule = small_schedule();
-        let oracle = run_kang(eq_pred(), &schedule);
-        let events = schedule.events().len();
-        let (full, ckpt_log, latest) = run_checkpointed_simulation(
-            &config(3),
-            eq_pred(),
-            RoundRobin,
-            &schedule,
-            &[(events / 2, 4)],
-            100,
-            None,
-        );
-        assert_eq!(full.result_keys(), oracle.result_keys());
-        assert_eq!(ckpt_log.len(), events / 100);
-        assert!(
-            ckpt_log.iter().any(|c| c.cost_ns > 0 && c.tuples > 0),
-            "loaded windows must charge checkpoint time: {ckpt_log:?}"
-        );
-        let latest = latest.expect("a full run leaves a checkpoint behind");
-        assert_eq!(latest.width, 4, "captured after the mid-run grow");
-        assert!(latest.hwm_r > Timestamp::ZERO);
-
-        // Crash two thirds in; the latest checkpoint lands at the last
-        // multiple of 100 before the crash.
-        let crash_at = 2 * events / 3;
-        let (crashed, _, ckpt) = run_checkpointed_simulation(
-            &config(3),
-            eq_pred(),
-            RoundRobin,
-            &schedule,
-            &[],
-            100,
-            Some(crash_at),
-        );
-        let ckpt = ckpt.expect("crash past the first checkpoint boundary");
-        assert_eq!(ckpt.after_events, (crash_at / 100) * 100);
-        let recovered =
-            recover_simulation(&config(3), eq_pred(), RoundRobin, &schedule, Some(&ckpt));
-        let cold = recover_simulation(&config(3), eq_pred(), RoundRobin, &schedule, None);
-        assert_eq!(
-            cold.result_keys(),
-            oracle.result_keys(),
-            "a cold replay of the whole schedule is just the plain run"
-        );
-        // Crashed prefix ∪ recovered suffix = oracle, duplicates only in
-        // the replayed (checkpoint → crash) overlap.
-        let mut keys: Vec<_> = crashed
-            .report
-            .results
-            .iter()
-            .chain(recovered.report.results.iter())
-            .map(|t| t.result.key())
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys, oracle.result_keys());
-        assert!(
-            recovered.report.makespan_ns < cold.report.makespan_ns,
-            "recovery ({} ns) must beat cold replay ({} ns)",
-            recovered.report.makespan_ns,
-            cold.report.makespan_ns
-        );
     }
 
     #[test]

@@ -4,69 +4,27 @@
 //! in the paper's evaluation.  It executes the *same* node state machines
 //! as the threaded runtime, one virtual core per pipeline node, connected
 //! by FIFO links with a configurable hop latency.  Like the threaded
-//! runtime, the links carry [`MessageBatch`] *frames*: the driver groups
-//! `batch_size` tuples per entry frame, and a node forwards the complete
-//! output of one frame as one frame per direction.  Every frame charges
-//! its node a service time derived from the [`crate::cost::CostModel`]
-//! (one per-frame transport cost, then per-message and per-comparison
-//! costs for its contents) and each inter-node hop is paid once per frame
-//! — so the latency/throughput trade-off of message granularity
-//! (Sections 2 and 4 of the paper) emerges from the algorithm's real
-//! behaviour rather than from closed-form assumptions, while remaining
-//! deterministic and independent of the host machine's core count.
+//! runtime, the links carry [`MessageBatch`](llhj_core::message::MessageBatch)
+//! *frames*: the driver groups up to `batch_size` arrivals per entry
+//! frame, and a node forwards the complete output of one frame as one
+//! frame per direction.  Every frame charges its node a service time
+//! derived from the [`crate::cost::CostModel`] (one per-frame transport
+//! cost, then per-message and per-comparison costs for its contents) and
+//! each inter-node hop is paid once per frame — so the latency/throughput
+//! trade-off of message granularity (Sections 2 and 4 of the paper)
+//! emerges from the algorithm's real behaviour rather than from
+//! closed-form assumptions, while remaining deterministic and independent
+//! of the host machine's core count.
+//!
+//! A fixed chain is the elastic chain of [`crate::elastic`] with an empty
+//! resize plan: one event loop and one entry batcher serve every
+//! simulated chain.
 
 use crate::config::SimConfig;
-use crate::cost::SimNanos;
 use crate::report::SimReport;
-use llhj_core::driver::{DriverSchedule, Injector, StreamEvent};
+use llhj_core::driver::DriverSchedule;
 use llhj_core::homing::HomePolicy;
-use llhj_core::message::{LeftToRight, MessageBatch, NodeOutput, RightToLeft};
 use llhj_core::predicate::JoinPredicate;
-use llhj_core::punctuation::{HighWaterMarks, OutputItem, Punctuation};
-use llhj_core::result::TimedResult;
-use llhj_core::stats::{LatencySeries, LatencySummary};
-use llhj_core::time::Timestamp;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// Converts a stream timestamp to virtual nanoseconds.
-fn ts_to_ns(ts: Timestamp) -> SimNanos {
-    ts.as_micros().saturating_mul(1_000)
-}
-
-/// Converts virtual nanoseconds to a stream timestamp (microsecond floor).
-fn ns_to_ts(ns: SimNanos) -> Timestamp {
-    Timestamp::from_micros(ns / 1_000)
-}
-
-/// One frame in flight towards a node.
-struct HeapEntry<R, S> {
-    at: SimNanos,
-    seq: u64,
-    node: usize,
-    frame: MessageBatch<R, S>,
-}
-
-impl<R, S> PartialEq for HeapEntry<R, S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<R, S> Eq for HeapEntry<R, S> {}
-impl<R, S> PartialOrd for HeapEntry<R, S> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<R, S> Ord for HeapEntry<R, S> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// Runs one simulation of the configured pipeline over a driver schedule.
 ///
@@ -84,331 +42,20 @@ where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
     P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy,
+    H: HomePolicy + Clone,
 {
-    assert!(config.nodes > 0, "pipeline needs at least one node");
-    assert!(config.batch_size > 0, "batch size must be positive");
-
-    let mut nodes = config.build_nodes::<R, S, P>(&predicate);
-    let injector = Injector::new(predicate, policy, config.nodes);
-    let hwm = HighWaterMarks::new();
-    let rightmost = config.nodes - 1;
-
-    // ------------------------------------------------------------------
-    // 1. Turn the driver schedule into injection frames, applying the
-    //    driver-side batching of the paper (Section 7.3): tuples are
-    //    released into the pipeline as one frame of `batch_size` arrivals,
-    //    at the timestamp of the last tuple of the group.  Expiry messages
-    //    share the entry frame of their direction, which preserves
-    //    per-entry-point FIFO order.
-    // ------------------------------------------------------------------
-    let mut heap: BinaryHeap<HeapEntry<R, S>> = BinaryHeap::new();
-    let mut event_seq = 0u64;
-    let mut last_injection_ns = 0u64;
-
-    {
-        let mut left_buf: Vec<LeftToRight<R>> = Vec::new();
-        let mut right_buf: Vec<RightToLeft<S>> = Vec::new();
-        let mut left_arrivals = 0usize;
-        let mut right_arrivals = 0usize;
-
-        let flush_left = |buf: &mut Vec<LeftToRight<R>>,
-                          at_ns: SimNanos,
-                          heap: &mut BinaryHeap<HeapEntry<R, S>>,
-                          event_seq: &mut u64,
-                          last_injection_ns: &mut u64| {
-            if !buf.is_empty() {
-                heap.push(HeapEntry {
-                    at: at_ns,
-                    seq: *event_seq,
-                    node: 0,
-                    frame: MessageBatch::Left(std::mem::take(buf)),
-                });
-                *event_seq += 1;
-            }
-            *last_injection_ns = (*last_injection_ns).max(at_ns);
-        };
-        let flush_right = |buf: &mut Vec<RightToLeft<S>>,
-                           at_ns: SimNanos,
-                           heap: &mut BinaryHeap<HeapEntry<R, S>>,
-                           event_seq: &mut u64,
-                           last_injection_ns: &mut u64| {
-            if !buf.is_empty() {
-                heap.push(HeapEntry {
-                    at: at_ns,
-                    seq: *event_seq,
-                    node: rightmost,
-                    frame: MessageBatch::Right(std::mem::take(buf)),
-                });
-                *event_seq += 1;
-            }
-            *last_injection_ns = (*last_injection_ns).max(at_ns);
-        };
-
-        let mut last_at = Timestamp::ZERO;
-        // A partial batch is flushed as soon as the stream delivers its last
-        // arrival: a real driver stops waiting for more tuples once the
-        // stream ends, and holding the tail back would charge it the delay
-        // of the trailing expiry events instead of the batching delay.
-        let mut seen_r = 0usize;
-        let mut seen_s = 0usize;
-        for event in schedule.events() {
-            last_at = event.at;
-            match &event.event {
-                StreamEvent::ArrivalR(r) => {
-                    left_buf.push(injector.inject_r(r.clone()));
-                    left_arrivals += 1;
-                    seen_r += 1;
-                    if left_arrivals >= config.batch_size || seen_r == schedule.r_count() {
-                        flush_left(
-                            &mut left_buf,
-                            ts_to_ns(event.at),
-                            &mut heap,
-                            &mut event_seq,
-                            &mut last_injection_ns,
-                        );
-                        left_arrivals = 0;
-                    }
-                }
-                StreamEvent::ExpireS(seq) => {
-                    left_buf.push(LeftToRight::ExpiryS(*seq));
-                }
-                StreamEvent::ArrivalS(s) => {
-                    right_buf.push(injector.inject_s(s.clone()));
-                    right_arrivals += 1;
-                    seen_s += 1;
-                    if right_arrivals >= config.batch_size || seen_s == schedule.s_count() {
-                        flush_right(
-                            &mut right_buf,
-                            ts_to_ns(event.at),
-                            &mut heap,
-                            &mut event_seq,
-                            &mut last_injection_ns,
-                        );
-                        right_arrivals = 0;
-                    }
-                }
-                StreamEvent::ExpireR(seq) => {
-                    right_buf.push(RightToLeft::ExpiryR(*seq));
-                }
-            }
-        }
-        let final_ns = ts_to_ns(last_at);
-        flush_left(
-            &mut left_buf,
-            final_ns,
-            &mut heap,
-            &mut event_seq,
-            &mut last_injection_ns,
-        );
-        flush_right(
-            &mut right_buf,
-            final_ns,
-            &mut heap,
-            &mut event_seq,
-            &mut last_injection_ns,
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // 2. Event loop.
-    // ------------------------------------------------------------------
-    let mut busy_until = vec![0u64; config.nodes];
-    let mut busy_ns = vec![0u64; config.nodes];
-    let mut out: NodeOutput<R, S, llhj_core::result::ResultTuple<R, S>> = NodeOutput::new();
-
-    let mut results: Vec<TimedResult<R, S>> = Vec::new();
-    let mut pending: Vec<TimedResult<R, S>> = Vec::new();
-    let mut output: Vec<OutputItem<TimedResult<R, S>>> = Vec::new();
-    let mut latency = LatencySummary::new();
-    let mut series = LatencySeries::new(config.latency_bucket);
-    let mut punctuation_count = 0u64;
-
-    let collect_interval_ns = (config.collect_interval.as_micros().max(1)) * 1_000;
-    let mut next_collect_ns = collect_interval_ns;
-    let hop = config.cost.hop_ns_for(config.pin_cores);
-    let mut makespan_ns = 0u64;
-    let mut frames_delivered = 0u64;
-    let mut messages_delivered = 0u64;
-
-    while let Some(entry) = heap.pop() {
-        // Collector cycles that are due before this event run first so the
-        // punctuation reflects exactly the state at its virtual time.
-        while config.punctuate && next_collect_ns <= entry.at {
-            collect(&mut pending, &mut output, &hwm, &mut punctuation_count);
-            next_collect_ns += collect_interval_ns;
-        }
-
-        let node_idx = entry.node;
-        let frame_len = entry.frame.len() as u64;
-        frames_delivered += 1;
-        messages_delivered += frame_len;
-        let start = entry.at.max(busy_until[node_idx]);
-        nodes[node_idx].observe_time(ns_to_ts(entry.at));
-
-        out.clear();
-        match entry.frame {
-            MessageBatch::Left(mut msgs) => {
-                // The rightmost node is where R arrivals finish their
-                // traversal; the frame's last arrival carries the largest
-                // timestamp (FIFO order), so observing it after the whole
-                // frame is handled keeps the high-water mark a safe lower
-                // bound.
-                let observed = if node_idx == rightmost {
-                    msgs.iter().rev().find_map(|m| match m {
-                        LeftToRight::ArrivalR(r) => Some(r.ts()),
-                        _ => None,
-                    })
-                } else {
-                    None
-                };
-                nodes[node_idx].handle_left_batch(&mut msgs, &mut out);
-                if let Some(ts) = observed {
-                    hwm.observe_r(ts);
-                }
-            }
-            MessageBatch::Right(mut msgs) => {
-                let observed = if node_idx == 0 {
-                    msgs.iter().rev().find_map(|m| match m {
-                        RightToLeft::ArrivalS(s) => Some(s.ts()),
-                        _ => None,
-                    })
-                } else {
-                    None
-                };
-                nodes[node_idx].handle_right_batch(&mut msgs, &mut out);
-                if let Some(ts) = observed {
-                    hwm.observe_s(ts);
-                }
-            }
-            MessageBatch::Handoff(_) => {
-                unreachable!(
-                    "handoff frames only occur in elastic simulations \
-                     (crate::elastic), which migrate state outside the heap"
-                );
-            }
-        }
-
-        let punctuated_node = config.punctuate && (node_idx == 0 || node_idx == rightmost);
-        let service = config.cost.frame_service_ns(
-            frame_len,
-            out.comparisons,
-            out.results.len() as u64,
-            punctuated_node,
-        );
-        let finish = start + service;
-        busy_until[node_idx] = finish;
-        busy_ns[node_idx] += service;
-        makespan_ns = makespan_ns.max(finish);
-
-        // The complete output of the frame moves on as one frame per
-        // direction, paying the hop latency once.
-        if !out.to_right.is_empty() {
-            if node_idx + 1 < config.nodes {
-                heap.push(HeapEntry {
-                    at: finish + hop,
-                    seq: event_seq,
-                    node: node_idx + 1,
-                    frame: MessageBatch::Left(std::mem::take(&mut out.to_right)),
-                });
-                event_seq += 1;
-            } else {
-                out.to_right.clear();
-            }
-        }
-        if !out.to_left.is_empty() {
-            if node_idx > 0 {
-                heap.push(HeapEntry {
-                    at: finish + hop,
-                    seq: event_seq,
-                    node: node_idx - 1,
-                    frame: MessageBatch::Right(std::mem::take(&mut out.to_left)),
-                });
-                event_seq += 1;
-            } else {
-                out.to_left.clear();
-            }
-        }
-
-        // Record results with their production (virtual) time.
-        let detected_at = ns_to_ts(finish);
-        for result in out.results.drain(..) {
-            let timed = TimedResult::new(result, detected_at);
-            latency.record(timed.latency());
-            series.record(detected_at, timed.latency());
-            if config.punctuate {
-                pending.push(timed.clone());
-            }
-            results.push(timed);
-        }
-    }
-
-    // Final collector cycles flush whatever is still pending.
-    if config.punctuate {
-        collect(&mut pending, &mut output, &hwm, &mut punctuation_count);
-    }
-
-    SimReport {
-        algorithm: config.algorithm,
-        nodes: config.nodes,
-        results,
-        output,
-        latency,
-        latency_series: series.finish(),
-        counters: nodes.iter().map(|n| n.node_counters()).collect(),
-        busy_ns,
-        last_injection_ns,
-        makespan_ns,
-        punctuation_count,
-        arrivals_per_stream: (schedule.r_count(), schedule.s_count()),
-        frames_delivered,
-        messages_delivered,
-    }
-}
-
-fn collect<R, S>(
-    pending: &mut Vec<TimedResult<R, S>>,
-    output: &mut Vec<OutputItem<TimedResult<R, S>>>,
-    hwm: &HighWaterMarks,
-    punctuation_count: &mut u64,
-) {
-    // Step 1 of Section 6.1.3: read the high-water marks *before* vacuuming
-    // the result queues, so the punctuation is a safe lower bound for every
-    // result produced afterwards.
-    let safe = hwm.safe_punctuation();
-    for timed in pending.drain(..) {
-        output.push(OutputItem::Result(timed));
-    }
-    output.push(OutputItem::Punctuation(Punctuation { ts: safe }));
-    *punctuation_count += 1;
+    crate::elastic::run_elastic_simulation(config, predicate, policy, schedule, &[]).report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Algorithm;
+    use crate::fixtures::{eq_pred, small_schedule};
     use llhj_core::homing::RoundRobin;
-    use llhj_core::predicate::FnPredicate;
     use llhj_core::punctuation::verify_punctuated_stream;
+    use llhj_core::time::Timestamp;
     use llhj_core::window::WindowSpec;
-
-    fn eq_pred() -> FnPredicate<fn(&u32, &u32) -> bool> {
-        fn eq(r: &u32, s: &u32) -> bool {
-            r == s
-        }
-        FnPredicate(eq as fn(&u32, &u32) -> bool)
-    }
-
-    fn small_schedule() -> DriverSchedule<u32, u32> {
-        // 200 tuples per stream, values cycling 0..20, 1 ms apart.
-        let r: Vec<_> = (0..200u64)
-            .map(|i| (Timestamp::from_millis(i), (i % 20) as u32))
-            .collect();
-        let s: Vec<_> = (0..200u64)
-            .map(|i| (Timestamp::from_millis(i), (i % 25) as u32))
-            .collect();
-        DriverSchedule::build(r, s, WindowSpec::time_secs(1), WindowSpec::time_secs(1))
-    }
 
     /// Like [`small_schedule`], but followed by one full window length of
     /// never-matching "flush" tuples.  The original handshake join only

@@ -6,11 +6,17 @@
 //! `n` cores connected by FIFO links, charging virtual time according to a
 //! calibrated [`CostModel`]:
 //!
-//! * [`engine::run_simulation`] — exact event-driven simulation (real
-//!   predicate evaluations, used for correctness and latency experiments);
-//! * [`elastic::run_elastic_simulation`] — the same engine with mid-run
-//!   grow/shrink reconfigurations, mirroring the threaded runtime's
-//!   fence-and-handoff protocol in virtual time;
+//! * [`elastic::run_elastic_simulation`] — exact event-driven simulation
+//!   of one chain (real predicate evaluations), with mid-run grow/shrink
+//!   reconfigurations mirroring the threaded runtime's fence-and-handoff
+//!   protocol in virtual time; [`engine::run_simulation`] is the same
+//!   chain with no resizes, and [`elastic::run_autoscaled_simulation`]
+//!   steers it with the runtime's autoscale policy.  One driver loop and
+//!   one entry batcher — with the runtime's expiry barrier — serve all
+//!   three;
+//! * [`mesh::run_mesh_simulation`] — the shard mesh over several such
+//!   chains, with its own one driver loop shared by the checkpointed and
+//!   recovery variants;
 //! * [`throughput::max_sustainable_rate`] — binary search for the maximum
 //!   sustainable input rate, the methodology behind Figure 17;
 //! * [`model::AnalyticModel`] — closed-form utilization model used to
@@ -32,8 +38,8 @@ pub mod throughput;
 pub use config::{Algorithm, SimConfig};
 pub use cost::{CostModel, SimNanos};
 pub use elastic::{
-    recover_simulation, run_autoscaled_simulation, run_checkpointed_simulation,
-    run_elastic_simulation, ElasticSimReport, SimCheckpoint, SimCheckpointEvent, SimResizeEvent,
+    run_autoscaled_simulation, run_elastic_simulation, ElasticSimReport, SimCheckpoint,
+    SimCheckpointEvent, SimResizeEvent,
 };
 pub use engine::run_simulation;
 pub use mesh::{
@@ -43,3 +49,32 @@ pub use mesh::{
 pub use model::AnalyticModel;
 pub use report::SimReport;
 pub use throughput::{max_sustainable_rate, ThroughputResult, ThroughputSearch};
+
+/// Test fixtures shared by the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use llhj_core::driver::DriverSchedule;
+    use llhj_core::predicate::FnPredicate;
+    use llhj_core::time::Timestamp;
+    use llhj_core::window::WindowSpec;
+
+    /// Equality on `u32` payloads.
+    pub(crate) fn eq_pred() -> FnPredicate<fn(&u32, &u32) -> bool> {
+        fn eq(r: &u32, s: &u32) -> bool {
+            r == s
+        }
+        FnPredicate(eq as fn(&u32, &u32) -> bool)
+    }
+
+    /// 200 tuples per stream 1 ms apart, values cycling mod 20 (R) and
+    /// mod 25 (S), under 1 s windows.
+    pub(crate) fn small_schedule() -> DriverSchedule<u32, u32> {
+        let r: Vec<_> = (0..200u64)
+            .map(|i| (Timestamp::from_millis(i), (i % 20) as u32))
+            .collect();
+        let s: Vec<_> = (0..200u64)
+            .map(|i| (Timestamp::from_millis(i), (i % 25) as u32))
+            .collect();
+        DriverSchedule::build(r, s, WindowSpec::time_secs(1), WindowSpec::time_secs(1))
+    }
+}

@@ -20,21 +20,16 @@
 
 use crate::config::SimConfig;
 use crate::cost::SimNanos;
-use crate::elastic::{node_factory, ElasticSim, SimCheckpoint, SimCheckpointEvent};
+use crate::elastic::{ts_to_ns, ElasticSim, SimCheckpoint, SimCheckpointEvent};
 use crate::throughput::{ThroughputResult, ThroughputSearch};
-use llhj_core::driver::{DriverSchedule, Injector, StreamEvent};
+use llhj_core::driver::{DriverEvent, DriverSchedule, StreamEvent};
 use llhj_core::homing::HomePolicy;
-use llhj_core::message::{LeftToRight, MessageBatch, RightToLeft};
+use llhj_core::message::NodeOutput;
 use llhj_core::predicate::JoinPredicate;
 use llhj_core::punctuation::OutputItem;
 use llhj_core::result::TimedResult;
 use llhj_core::shard::{merge_punctuated_streams, MeshPlan, RouteMode, ShardRouter};
-use llhj_core::time::Timestamp;
 use llhj_core::tuple::SeqNo;
-
-fn ts_to_ns(ts: Timestamp) -> SimNanos {
-    ts.as_micros().saturating_mul(1_000)
-}
 
 /// One completed mesh reshaping in the simulation's log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,18 +123,15 @@ where
 {
     config: SimConfig,
     router: ShardRouter<R, S, P>,
-    sims: Vec<ElasticSim<R, S>>,
-    injectors: Vec<Injector<R, S, P, H>>,
-    left_bufs: Vec<Vec<LeftToRight<R>>>,
-    right_bufs: Vec<Vec<RightToLeft<S>>>,
-    left_arrivals: Vec<usize>,
-    right_arrivals: Vec<usize>,
+    sims: Vec<ElasticSim<R, S, P, H>>,
     predicate: P,
     policy: H,
     retired_results: Vec<TimedResult<R, S>>,
     retired_outputs: Vec<Vec<OutputItem<TimedResult<R, S>>>>,
     reshard_log: Vec<SimReshardEvent>,
-    last_at: Timestamp,
+    /// Virtual injection time of the last routed event (rebased on a
+    /// recovery replay): where a fence flushes the entry frames.
+    last_ns: SimNanos,
 }
 
 impl<R, S, P, H> MeshSim<R, S, P, H>
@@ -149,55 +141,37 @@ where
     P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
     H: HomePolicy + Clone,
 {
-    fn flush_left(&mut self, shard: usize, at_ns: SimNanos) {
-        if !self.left_bufs[shard].is_empty() {
-            let frame = MessageBatch::Left(std::mem::take(&mut self.left_bufs[shard]));
-            self.sims[shard].push_frame(at_ns, 0, frame);
+    /// A mesh of one chain per entry of `widths`, routing by `mode`.
+    fn new(config: &SimConfig, predicate: P, policy: H, mode: RouteMode, widths: &[usize]) -> Self {
+        assert!(
+            mode == RouteMode::FragmentReplicate || predicate.supports_index(),
+            "co-partitioning requires a predicate with both equi-key extractors"
+        );
+        MeshSim {
+            config: config.clone(),
+            router: ShardRouter::new(predicate.clone(), mode, widths.len()),
+            sims: widths
+                .iter()
+                .map(|&width| ElasticSim::new(config, width, predicate.clone(), policy.clone()))
+                .collect(),
+            predicate,
+            policy,
+            retired_results: Vec::new(),
+            retired_outputs: Vec::new(),
+            reshard_log: Vec::new(),
+            last_ns: 0,
         }
-        self.left_arrivals[shard] = 0;
-        self.sims[shard].last_injection_ns = self.sims[shard].last_injection_ns.max(at_ns);
     }
 
-    fn flush_right(&mut self, shard: usize, at_ns: SimNanos) {
-        if !self.right_bufs[shard].is_empty() {
-            let rightmost = self.sims[shard].width - 1;
-            let frame = MessageBatch::Right(std::mem::take(&mut self.right_bufs[shard]));
-            self.sims[shard].push_frame(at_ns, rightmost, frame);
-        }
-        self.right_arrivals[shard] = 0;
-        self.sims[shard].last_injection_ns = self.sims[shard].last_injection_ns.max(at_ns);
-    }
-
-    /// Flushes every shard's entry buffers (their homes were assigned
+    /// Flushes every shard's entry frames (their homes were assigned
     /// under the current widths) and drains every heap to quiescence.
     /// Returns the global fence start: the latest shard makespan.
     fn fence_all(&mut self) -> SimNanos {
-        let at_ns = ts_to_ns(self.last_at);
-        for shard in 0..self.sims.len() {
-            self.flush_left(shard, at_ns);
-            self.flush_right(shard, at_ns);
-            self.sims[shard].drain(None);
+        for sim in &mut self.sims {
+            sim.flush(self.last_ns);
+            sim.drain(None);
         }
         self.sims.iter().map(|s| s.makespan_ns).max().unwrap_or(0)
-    }
-
-    /// Charges one cross-shard segment transfer to the receiving chain's
-    /// node `k`: a hop plus frame reception with per-tuple message cost,
-    /// and an ack frame back — the same serialisation as a chain-internal
-    /// handoff hop.
-    fn charge_transfer(
-        sim: &mut ElasticSim<R, S>,
-        k: usize,
-        tuples: usize,
-        fence_end: &mut SimNanos,
-    ) {
-        let hop = sim.config.cost.hop_ns_for(sim.config.pin_cores);
-        let service = sim.config.cost.frame_service_ns(tuples as u64, 0, 0, false);
-        let ack = sim.config.cost.frame_service_ns(1, 0, 0, false);
-        *fence_end += hop + service + hop + ack;
-        sim.busy_ns[k] += service;
-        sim.frames_delivered += 1;
-        sim.messages_delivered += tuples as u64;
     }
 
     /// One shard split: every chain doubles into itself plus a same-width
@@ -209,22 +183,29 @@ where
     fn split_once(&mut self, fence_end: &mut SimNanos) -> usize {
         let n = self.sims.len();
         self.router.split();
-        let factory = node_factory(&self.config, self.predicate.clone());
         let mut moved = 0;
         for p in 0..n {
             let width = self.sims[p].width;
-            let mut child = ElasticSim::new(&self.config, width, &factory);
+            let mut child = ElasticSim::new(
+                &self.config,
+                width,
+                self.predicate.clone(),
+                self.policy.clone(),
+            );
             for k in 0..width {
                 let segment = self.sims[p].nodes[k]
                     .export_segment()
                     .expect("mesh simulation requires migration-capable nodes");
                 let (keep, moving) = self.router.split_segment(p, segment);
                 moved += moving.len();
-                Self::charge_transfer(&mut self.sims[p], k, keep.len(), fence_end);
+                // Every cross-shard transfer is charged like a
+                // chain-internal handoff hop, its ack going to no node of
+                // the receiving chain.
+                self.sims[p].charge_handoff(k, None, keep.len(), &mut NodeOutput::new(), fence_end);
                 self.sims[p].nodes[k]
                     .install_segment_silent(keep)
                     .expect("mesh simulation requires migration-capable nodes");
-                Self::charge_transfer(&mut child, k, moving.len(), fence_end);
+                child.charge_handoff(k, None, moving.len(), &mut NodeOutput::new(), fence_end);
                 child.nodes[k]
                     .install_segment_silent(moving)
                     .expect("mesh simulation requires migration-capable nodes");
@@ -242,18 +223,17 @@ where
     /// final stream merge.
     fn merge_once(&mut self, fence_end: &mut SimNanos) -> usize {
         let n = self.sims.len() / 2;
-        let factory = node_factory(&self.config, self.predicate.clone());
         // Equalize widths first: the child's node `k` must land on an
         // existing parent node `k`.
         for p in 0..n {
             let width = self.sims[p].width;
             if self.sims[n + p].width != width {
-                self.sims[n + p].resize(width, &factory);
+                self.sims[n + p].resize(width);
             }
         }
         self.router.merge();
         let mut moved = 0;
-        let children: Vec<ElasticSim<R, S>> = self.sims.split_off(n);
+        let children: Vec<ElasticSim<R, S, P, H>> = self.sims.split_off(n);
         for (p, mut child) in children.into_iter().enumerate() {
             for k in 0..child.width {
                 let segment = child.nodes[k]
@@ -263,7 +243,13 @@ where
                 // the parent's own; the router drops them here.
                 let segment = self.router.merge_segment(segment);
                 moved += segment.len();
-                Self::charge_transfer(&mut self.sims[p], k, segment.len(), fence_end);
+                self.sims[p].charge_handoff(
+                    k,
+                    None,
+                    segment.len(),
+                    &mut NodeOutput::new(),
+                    fence_end,
+                );
                 self.sims[p].nodes[k]
                     .install_segment_silent(segment)
                     .expect("mesh simulation requires migration-capable nodes");
@@ -294,11 +280,10 @@ where
         while self.sims.len() > target_shards {
             moved += self.merge_once(&mut fence_end);
         }
-        let factory = node_factory(&self.config, self.predicate.clone());
         let mut width_changed = false;
         for sim in &mut self.sims {
             if sim.width != width {
-                sim.resize(width, &factory);
+                sim.resize(width);
                 width_changed = true;
             }
         }
@@ -310,17 +295,6 @@ where
             }
             sim.makespan_ns = sim.makespan_ns.max(fence_end);
         }
-        self.injectors = self
-            .sims
-            .iter()
-            .map(|s| Injector::new(self.predicate.clone(), self.policy.clone(), s.width))
-            .collect();
-        // The fence flushed every entry buffer, so the per-shard batching
-        // state just resizes to the new shard count.
-        self.left_bufs = vec![Vec::new(); self.sims.len()];
-        self.right_bufs = vec![Vec::new(); self.sims.len()];
-        self.left_arrivals = vec![0; self.sims.len()];
-        self.right_arrivals = vec![0; self.sims.len()];
         if from != target_shards || width_changed {
             self.reshard_log.push(SimReshardEvent {
                 after_events: at_event,
@@ -409,38 +383,80 @@ where
         }
     }
 
-    /// Routes one driver event to its target shards, batching entry
-    /// frames per shard; frames flush at `at_ns` (already rebased by the
-    /// caller when recovering).
-    fn inject(&mut self, event: &llhj_core::driver::DriverEvent<R, S>, at_ns: SimNanos) {
-        let batch = self.config.batch_size;
-        let route = self.router.route(&event.event);
-        for shard in route.targets(self.sims.len()) {
-            match &event.event {
-                StreamEvent::ArrivalR(r) => {
-                    let msg = self.injectors[shard].inject_r(r.clone());
-                    self.left_bufs[shard].push(msg);
-                    self.left_arrivals[shard] += 1;
-                    if self.left_arrivals[shard] >= batch {
-                        self.flush_left(shard, at_ns);
+    /// The one driver loop of a simulated mesh: routes `events` — each
+    /// injected at its stream time minus `rebase` — through the shards'
+    /// entry batchers, firing the plan's reshapings at their event
+    /// indexes.  With `checkpoint_every` it takes a coordinated checkpoint
+    /// after every that many consumed events; `crash_after` stops the
+    /// replay right before that event index (the simulated crash: the
+    /// injected prefix is processed, nothing else enters, and trailing
+    /// plan steps do not run).  Returns the checkpoint log and the latest
+    /// checkpoint.
+    fn replay(
+        &mut self,
+        events: &[DriverEvent<R, S>],
+        rebase: SimNanos,
+        plan: &MeshPlan,
+        checkpoint_every: Option<usize>,
+        crash_after: Option<usize>,
+    ) -> (Vec<SimCheckpointEvent>, Option<SimMeshCheckpoint<R, S>>) {
+        let (mut left_r, mut left_s) = events.iter().fold((0, 0), |(r, s), e| match e.event {
+            StreamEvent::ArrivalR(_) => (r + 1, s),
+            StreamEvent::ArrivalS(_) => (r, s + 1),
+            _ => (r, s),
+        });
+        let mut ckpt_log = Vec::new();
+        let mut latest = None;
+        let mut steps = plan.steps.iter().peekable();
+        let mut crashed = false;
+        for (idx, event) in events.iter().enumerate() {
+            while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
+                self.reshape(step.shards, step.width, idx);
+            }
+            if crash_after == Some(idx) {
+                crashed = true;
+                break;
+            }
+            self.last_ns = ts_to_ns(event.at).saturating_sub(rebase);
+            let route = self.router.route(&event.event);
+            for shard in route.targets(self.sims.len()) {
+                self.sims[shard].inject(event, self.last_ns);
+            }
+            // A stream's last arrival ends the stream for every shard: no
+            // partial entry frame of that stream need wait any longer.
+            match event.event {
+                StreamEvent::ArrivalR(_) => {
+                    left_r -= 1;
+                    if left_r == 0 {
+                        for sim in &mut self.sims {
+                            sim.flush_left(self.last_ns);
+                        }
                     }
                 }
-                StreamEvent::ExpireS(seq) => {
-                    self.left_bufs[shard].push(LeftToRight::ExpiryS(*seq));
-                }
-                StreamEvent::ArrivalS(s) => {
-                    let msg = self.injectors[shard].inject_s(s.clone());
-                    self.right_bufs[shard].push(msg);
-                    self.right_arrivals[shard] += 1;
-                    if self.right_arrivals[shard] >= batch {
-                        self.flush_right(shard, at_ns);
+                StreamEvent::ArrivalS(_) => {
+                    left_s -= 1;
+                    if left_s == 0 {
+                        for sim in &mut self.sims {
+                            sim.flush_right(self.last_ns);
+                        }
                     }
                 }
-                StreamEvent::ExpireR(seq) => {
-                    self.right_bufs[shard].push(RightToLeft::ExpiryR(*seq));
-                }
+                _ => {}
+            }
+            let consumed = idx + 1;
+            if checkpoint_every.is_some_and(|every| consumed.is_multiple_of(every)) {
+                let (ckpt, evt) = self.checkpoint_all(consumed);
+                ckpt_log.push(evt);
+                latest = Some(ckpt);
             }
         }
+        self.fence_all();
+        if !crashed {
+            for step in steps {
+                self.reshape(step.shards, step.width, events.len());
+            }
+        }
+        (ckpt_log, latest)
     }
 }
 
@@ -463,49 +479,8 @@ where
     P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
     H: HomePolicy + Clone,
 {
-    assert!(config.nodes > 0, "pipeline needs at least one node");
-    assert!(config.batch_size > 0, "batch size must be positive");
-    assert!(
-        mode == RouteMode::FragmentReplicate || predicate.supports_index(),
-        "co-partitioning requires a predicate with both equi-key extractors"
-    );
-    let factory = node_factory(config, predicate.clone());
-    let width = config.nodes;
-    let mut mesh = MeshSim {
-        config: config.clone(),
-        router: ShardRouter::new(predicate.clone(), mode, shards),
-        sims: (0..shards)
-            .map(|_| ElasticSim::new(config, width, &factory))
-            .collect(),
-        injectors: (0..shards)
-            .map(|_| Injector::new(predicate.clone(), policy.clone(), width))
-            .collect(),
-        left_bufs: vec![Vec::new(); shards],
-        right_bufs: vec![Vec::new(); shards],
-        left_arrivals: vec![0; shards],
-        right_arrivals: vec![0; shards],
-        predicate,
-        policy,
-        retired_results: Vec::new(),
-        retired_outputs: Vec::new(),
-        reshard_log: Vec::new(),
-        last_at: Timestamp::ZERO,
-    };
-
-    let mut steps = plan.steps.iter().peekable();
-    for (idx, event) in schedule.events().iter().enumerate() {
-        while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-            mesh.reshape(step.shards, step.width, idx);
-        }
-        mesh.last_at = event.at;
-        let at_ns = ts_to_ns(event.at);
-        mesh.inject(event, at_ns);
-    }
-    mesh.fence_all();
-    let trailing: Vec<_> = steps.cloned().collect();
-    for step in trailing {
-        mesh.reshape(step.shards, step.width, schedule.events().len());
-    }
+    let mut mesh = MeshSim::new(config, predicate, policy, mode, &vec![config.nodes; shards]);
+    mesh.replay(schedule.events(), 0, plan, None, None);
     mesh.into_report()
 }
 
@@ -540,65 +515,15 @@ where
     P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
     H: HomePolicy + Clone,
 {
-    assert!(config.nodes > 0, "pipeline needs at least one node");
-    assert!(config.batch_size > 0, "batch size must be positive");
     assert!(every_events > 0, "checkpoint interval must be positive");
-    assert!(
-        mode == RouteMode::FragmentReplicate || predicate.supports_index(),
-        "co-partitioning requires a predicate with both equi-key extractors"
+    let mut mesh = MeshSim::new(config, predicate, policy, mode, &vec![config.nodes; shards]);
+    let (ckpt_log, latest) = mesh.replay(
+        schedule.events(),
+        0,
+        plan,
+        Some(every_events),
+        crash_after_events,
     );
-    let factory = node_factory(config, predicate.clone());
-    let width = config.nodes;
-    let mut mesh = MeshSim {
-        config: config.clone(),
-        router: ShardRouter::new(predicate.clone(), mode, shards),
-        sims: (0..shards)
-            .map(|_| ElasticSim::new(config, width, &factory))
-            .collect(),
-        injectors: (0..shards)
-            .map(|_| Injector::new(predicate.clone(), policy.clone(), width))
-            .collect(),
-        left_bufs: vec![Vec::new(); shards],
-        right_bufs: vec![Vec::new(); shards],
-        left_arrivals: vec![0; shards],
-        right_arrivals: vec![0; shards],
-        predicate,
-        policy,
-        retired_results: Vec::new(),
-        retired_outputs: Vec::new(),
-        reshard_log: Vec::new(),
-        last_at: Timestamp::ZERO,
-    };
-
-    let mut ckpt_log = Vec::new();
-    let mut latest = None;
-    let mut crashed = false;
-    let mut steps = plan.steps.iter().peekable();
-    for (idx, event) in schedule.events().iter().enumerate() {
-        while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-            mesh.reshape(step.shards, step.width, idx);
-        }
-        if crash_after_events == Some(idx) {
-            crashed = true;
-            break;
-        }
-        mesh.last_at = event.at;
-        let at_ns = ts_to_ns(event.at);
-        mesh.inject(event, at_ns);
-        let consumed = idx + 1;
-        if consumed.is_multiple_of(every_events) {
-            let (ckpt, evt) = mesh.checkpoint_all(consumed);
-            ckpt_log.push(evt);
-            latest = Some(ckpt);
-        }
-    }
-    mesh.fence_all();
-    if !crashed {
-        let trailing: Vec<_> = steps.cloned().collect();
-        for step in trailing {
-            mesh.reshape(step.shards, step.width, schedule.events().len());
-        }
-    }
     (mesh.into_report(), ckpt_log, latest)
 }
 
@@ -626,40 +551,11 @@ where
     P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
     H: HomePolicy + Clone,
 {
-    assert!(config.nodes > 0, "pipeline needs at least one node");
-    assert!(config.batch_size > 0, "batch size must be positive");
-    assert!(
-        mode == RouteMode::FragmentReplicate || predicate.supports_index(),
-        "co-partitioning requires a predicate with both equi-key extractors"
-    );
-    let factory = node_factory(config, predicate.clone());
-    let (start_idx, widths): (usize, Vec<usize>) = match ckpt {
-        Some(c) => (c.after_events, c.shards.iter().map(|s| s.width).collect()),
-        None => (0, vec![config.nodes; cold_shards.max(1)]),
+    let widths: Vec<usize> = match ckpt {
+        Some(c) => c.shards.iter().map(|s| s.width).collect(),
+        None => vec![config.nodes; cold_shards.max(1)],
     };
-    let shard_count = widths.len();
-    let mut mesh = MeshSim {
-        config: config.clone(),
-        router: ShardRouter::new(predicate.clone(), mode, shard_count),
-        sims: widths
-            .iter()
-            .map(|&w| ElasticSim::new(config, w, &factory))
-            .collect(),
-        injectors: widths
-            .iter()
-            .map(|&w| Injector::new(predicate.clone(), policy.clone(), w))
-            .collect(),
-        left_bufs: vec![Vec::new(); shard_count],
-        right_bufs: vec![Vec::new(); shard_count],
-        left_arrivals: vec![0; shard_count],
-        right_arrivals: vec![0; shard_count],
-        predicate,
-        policy,
-        retired_results: Vec::new(),
-        retired_outputs: Vec::new(),
-        reshard_log: Vec::new(),
-        last_at: Timestamp::ZERO,
-    };
+    let mut mesh = MeshSim::new(config, predicate, policy, mode, &widths);
     if let Some(c) = ckpt {
         for (shard, sc) in c.shards.iter().enumerate() {
             for seg in &sc.segments {
@@ -673,21 +569,10 @@ where
             mesh.sims[shard].restore_checkpoint(sc);
         }
     }
-    let len = schedule.events().len();
-    let events = &schedule.events()[start_idx.min(len)..];
+    let start_idx = ckpt.map_or(0, |c| c.after_events);
+    let events = &schedule.events()[start_idx.min(schedule.events().len())..];
     let rebase = events.first().map_or(0, |e| ts_to_ns(e.at));
-    let mut final_ns = mesh.sims.iter().map(|s| s.makespan_ns).max().unwrap_or(0);
-    for event in events {
-        mesh.last_at = event.at;
-        let at_ns = ts_to_ns(event.at).saturating_sub(rebase);
-        final_ns = final_ns.max(at_ns);
-        mesh.inject(event, at_ns);
-    }
-    for shard in 0..mesh.sims.len() {
-        mesh.flush_left(shard, final_ns);
-        mesh.flush_right(shard, final_ns);
-        mesh.sims[shard].drain(None);
-    }
+    mesh.replay(events, rebase, &MeshPlan::none(), None, None);
     mesh.into_report()
 }
 
@@ -712,15 +597,10 @@ where
     H: HomePolicy + Clone,
     F: FnMut(f64) -> DriverSchedule<R, S>,
 {
-    assert!(search.min_rate > 0.0 && search.max_rate > search.min_rate);
-    let mut lo = search.min_rate;
-    let mut hi = search.max_rate;
-    let mut best = (search.min_rate, 0.0f64);
-    for _ in 0..search.steps {
-        let mid = (lo + hi) / 2.0;
+    search.bisect(|rate| {
         let mut config = base_config.clone();
-        config.expected_rate_per_sec = mid;
-        let schedule = make_schedule(mid);
+        config.expected_rate_per_sec = rate;
+        let schedule = make_schedule(rate);
         let report = run_mesh_simulation(
             &config,
             predicate.clone(),
@@ -730,17 +610,10 @@ where
             &schedule,
             &MeshPlan::none(),
         );
-        if report.is_sustainable(search.utilization_threshold) {
-            best = (mid, report.max_utilization());
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    ThroughputResult {
-        rate_per_stream: best.0,
-        utilization: best.1,
-    }
+        report
+            .is_sustainable(search.utilization_threshold)
+            .then(|| report.max_utilization())
+    })
 }
 
 #[cfg(test)]
@@ -751,7 +624,7 @@ mod tests {
     use llhj_core::homing::RoundRobin;
     use llhj_core::predicate::{EquiPredicate, FnPredicate};
     use llhj_core::punctuation::verify_punctuated_stream;
-    use llhj_core::time::TimeDelta;
+    use llhj_core::time::{TimeDelta, Timestamp};
     use llhj_core::window::WindowSpec;
 
     type KeyFn = fn(&u32) -> u64;

@@ -8,7 +8,6 @@
 
 use crate::config::SimConfig;
 use crate::engine::run_simulation;
-use crate::report::SimReport;
 use llhj_core::driver::DriverSchedule;
 use llhj_core::homing::HomePolicy;
 use llhj_core::predicate::JoinPredicate;
@@ -70,33 +69,39 @@ where
     F: FnMut(f64) -> DriverSchedule<R, S>,
     C: FnMut(&mut SimConfig, f64),
 {
-    assert!(search.min_rate > 0.0 && search.max_rate > search.min_rate);
-    let mut lo = search.min_rate;
-    let mut hi = search.max_rate;
-    let mut best = (search.min_rate, 0.0f64);
-
-    let mut evaluate = |rate: f64| -> SimReport<R, S> {
+    search.bisect(|rate| {
         let mut config = base_config.clone();
         config.expected_rate_per_sec = rate;
         configure(&mut config, rate);
         let schedule = make_schedule(rate);
-        run_simulation(&config, predicate.clone(), policy.clone(), &schedule)
-    };
+        let report = run_simulation(&config, predicate.clone(), policy.clone(), &schedule);
+        report
+            .is_sustainable(search.utilization_threshold)
+            .then(|| report.max_utilization())
+    })
+}
 
-    for _ in 0..search.steps {
-        let mid = (lo + hi) / 2.0;
-        let report = evaluate(mid);
-        if report.is_sustainable(search.utilization_threshold) {
-            best = (mid, report.max_utilization());
-            lo = mid;
-        } else {
-            hi = mid;
+impl ThroughputSearch {
+    /// Bisects the rate range: `sustains(rate)` runs one simulation and
+    /// returns its utilization if the rate is sustainable.
+    pub(crate) fn bisect(&self, mut sustains: impl FnMut(f64) -> Option<f64>) -> ThroughputResult {
+        assert!(self.min_rate > 0.0 && self.max_rate > self.min_rate);
+        let (mut lo, mut hi) = (self.min_rate, self.max_rate);
+        let mut best = (self.min_rate, 0.0f64);
+        for _ in 0..self.steps {
+            let mid = (lo + hi) / 2.0;
+            match sustains(mid) {
+                Some(utilization) => {
+                    best = (mid, utilization);
+                    lo = mid;
+                }
+                None => hi = mid,
+            }
         }
-    }
-
-    ThroughputResult {
-        rate_per_stream: best.0,
-        utilization: best.1,
+        ThroughputResult {
+            rate_per_stream: best.0,
+            utilization: best.1,
+        }
     }
 }
 

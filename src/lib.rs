@@ -69,16 +69,15 @@ pub mod prelude {
         hsj_age_factory, hsj_nodes, llhj_factory, llhj_indexed_factory, llhj_indexed_nodes,
         llhj_nodes, recover_elastic_pipeline, recover_mesh_pipeline, run_autoscaled_pipeline,
         run_elastic_pipeline, run_mesh_pipeline, run_pipeline, AutoscaleOptions, CancelToken,
-        CheckpointConfig, ElasticOutcome, ElasticPipeline, MeshOutcome, MeshPipeline, MetricsBus,
-        NodeFactory, Pacing, PipelineOptions, ReshardEvent, ResizeEvent, RunOutcome, ScalePipeline,
-        ScalePlan, ScaleStep,
+        CheckpointConfig, ElasticPipeline, MeshOutcome, MeshPipeline, MetricsBus, NodeFactory,
+        Pacing, PipelineOptions, ReshardEvent, ResizeEvent, RunOutcome, ScalePipeline, ScalePlan,
+        ScaleStep,
     };
     pub use llhj_sim::{
-        max_sustainable_mesh_rate, recover_mesh_simulation, recover_simulation,
-        run_autoscaled_simulation, run_checkpointed_mesh_simulation, run_checkpointed_simulation,
-        run_elastic_simulation, run_mesh_simulation, run_simulation, Algorithm, AnalyticModel,
-        CostModel, ElasticSimReport, MeshSimReport, SimCheckpoint, SimCheckpointEvent, SimConfig,
-        SimMeshCheckpoint, SimReport,
+        max_sustainable_mesh_rate, recover_mesh_simulation, run_autoscaled_simulation,
+        run_checkpointed_mesh_simulation, run_elastic_simulation, run_mesh_simulation,
+        run_simulation, Algorithm, AnalyticModel, CostModel, ElasticSimReport, MeshSimReport,
+        SimCheckpoint, SimCheckpointEvent, SimConfig, SimMeshCheckpoint, SimReport,
     };
     pub use llhj_workload::{
         band_join_schedule, equi_join_schedule, zipf_equi_join_schedule, ArrivalPattern,

@@ -13,7 +13,8 @@ use llhj_core::homing::{HashKey, RoundRobin};
 use llhj_core::predicate::{FnPredicate, JoinPredicate};
 use llhj_core::time::{TimeDelta, Timestamp};
 use llhj_core::window::WindowSpec;
-use llhj_sim::{run_simulation, Algorithm, SimConfig};
+use llhj_runtime::{llhj_nodes, run_pipeline, Pacing, PipelineOptions};
+use llhj_sim::{run_elastic_simulation, run_simulation, Algorithm, SimConfig};
 use llhj_workload::WorkloadRng;
 
 /// Draws a random per-stream (gap in ms, value) list, mirroring the
@@ -87,8 +88,35 @@ fn sim_config(nodes: usize, algorithm: Algorithm, window_ms: u64) -> SimConfig {
     cfg
 }
 
+/// Probe schedules on which a batched entry frame can outwait the window:
+/// an arrival held in a partial frame while its own expiry enters at the
+/// opposite end.  `uneven rates`: R every 2 ms, S every 0.3 ms.  `uneven
+/// ends`: R ends 100 ms before S.  Both use 50 ms windows.
+fn uneven_stream_probes() -> Vec<(&'static str, DriverSchedule<u32, u32>)> {
+    let stream = |count: u64, gap_us: u64, modulus: u64| -> Vec<(Timestamp, u32)> {
+        (0..count)
+            .map(|i| (Timestamp::from_micros(i * gap_us), (i % modulus) as u32))
+            .collect()
+    };
+    let window = WindowSpec::Time(TimeDelta::from_millis(50));
+    vec![
+        (
+            "uneven rates",
+            DriverSchedule::build(stream(150, 2_000, 7), stream(1_000, 300, 7), window, window),
+        ),
+        (
+            "uneven ends",
+            DriverSchedule::build(stream(400, 250, 9), stream(500, 400, 9), window, window),
+        ),
+    ]
+}
+
 /// Low-latency handshake join produces exactly the oracle's result set
-/// for arbitrary workloads and pipeline widths.
+/// for arbitrary workloads and pipeline widths — and on the
+/// uneven-stream probes at batch 1/8/64, on the fixed and elastic
+/// simulated chains and the unpaced threaded chain, which takes the
+/// expiry barrier (an expiry never enters before its own arrival has
+/// settled) on both substrates.
 #[test]
 fn llhj_matches_kang_for_random_workloads() {
     for case in 0..24u64 {
@@ -110,6 +138,45 @@ fn llhj_matches_kang_for_random_workloads() {
             oracle.result_keys(),
             "case {case}: {nodes} nodes, {window_ms} ms window"
         );
+    }
+    for (label, schedule) in uneven_stream_probes() {
+        let oracle = run_kang(eq_pred(), &schedule).result_keys();
+        assert!(
+            oracle.len() > 1_000,
+            "{label}: {} oracle pairs",
+            oracle.len()
+        );
+        for batch in [1usize, 8, 64] {
+            let mut cfg = sim_config(3, Algorithm::Llhj, 50);
+            cfg.batch_size = batch;
+            let fixed = run_simulation(&cfg, eq_pred(), RoundRobin, &schedule);
+            assert_eq!(fixed.result_keys(), oracle, "{label}: sim, batch {batch}");
+            let grow_at = schedule.events().len() / 2;
+            let elastic =
+                run_elastic_simulation(&cfg, eq_pred(), RoundRobin, &schedule, &[(grow_at, 4)]);
+            assert_eq!(
+                elastic.result_keys(),
+                oracle,
+                "{label}: elastic sim, batch {batch}"
+            );
+            let options = PipelineOptions {
+                batch_size: batch,
+                pacing: Pacing::Unpaced,
+                ..Default::default()
+            };
+            let threaded = run_pipeline(
+                llhj_nodes(3, eq_pred()),
+                eq_pred(),
+                RoundRobin,
+                &schedule,
+                &options,
+            );
+            assert_eq!(
+                threaded.result_keys(),
+                oracle,
+                "{label}: unpaced runtime, batch {batch}"
+            );
+        }
     }
 }
 

@@ -89,6 +89,7 @@ fn check_mesh_case<P>(
     shards: usize,
     plan: &MeshPlan,
     expected_reshards: usize,
+    batch_size: usize,
 ) where
     P: llhj_core::predicate::JoinPredicate<RTuple, STuple> + Clone + Send + Sync + 'static,
 {
@@ -109,7 +110,7 @@ fn check_mesh_case<P>(
         mode,
         schedule,
         plan,
-        &paced_options(4),
+        &paced_options(batch_size),
     );
     assert_exact(
         &format!("{label} [runtime]"),
@@ -129,7 +130,7 @@ fn check_mesh_case<P>(
 
     // The mesh simulation, reshaped by the same plan, agrees exactly.
     let mut cfg = SimConfig::new(2, algorithm);
-    cfg.batch_size = 4;
+    cfg.batch_size = batch_size;
     cfg.punctuate = true;
     cfg.window_r = WindowSpec::Time(TimeDelta::from_millis(150));
     cfg.window_s = WindowSpec::Time(TimeDelta::from_millis(150));
@@ -171,6 +172,7 @@ fn zipf_equi_mesh_matches_the_oracle_across_shard_counts() {
                 shards,
                 &MeshPlan::none(),
                 0,
+                4,
             );
         }
     }
@@ -198,13 +200,54 @@ fn zipf_equi_mesh_survives_a_mid_run_split_and_merge() {
             2,
             &MeshPlan::from_steps(&[(split_at, 4, 2), (merge_at, 2, 2)]),
             2,
+            4,
         );
     }
 }
 
+/// Streams that end at different times, on 50 ms windows.  `R ends
+/// early`: R and S every 1 ms, but R stops after 150 tuples while S runs
+/// on to 400 ms.  `uneven ends`: R every 0.25 ms ends at 100 ms, S every
+/// 0.4 ms at 200 ms.  A chain whose last R arrivals wait in a partial
+/// entry frame would see their expiries overtake them.
+fn uneven_end_schedules() -> Vec<(&'static str, llhj_core::DriverSchedule<RTuple, STuple>)> {
+    let window = WindowSpec::Time(TimeDelta::from_millis(50));
+    let r = |count: u64, gap_us: u64| -> Vec<(Timestamp, RTuple)> {
+        (0..count)
+            .map(|i| {
+                let x = (i * 7 % 40) as i32 + 1;
+                let y = (i * 13 % 40) as f32 + 1.0;
+                (Timestamp::from_micros(i * gap_us), RTuple::new(x, y))
+            })
+            .collect()
+    };
+    let s = |count: u64, gap_us: u64| -> Vec<(Timestamp, STuple)> {
+        (0..count)
+            .map(|i| {
+                let a = (i * 11 % 40) as i32 + 1;
+                let b = (i * 17 % 40) as f32 + 1.0;
+                (Timestamp::from_micros(i * gap_us), STuple::new(a, b))
+            })
+            .collect()
+    };
+    vec![
+        (
+            "R ends early",
+            llhj_core::DriverSchedule::build(r(150, 1_000), s(400, 1_000), window, window),
+        ),
+        (
+            "uneven ends",
+            llhj_core::DriverSchedule::build(r(400, 250), s(500, 400), window, window),
+        ),
+    ]
+}
+
 /// The keyless band join rides the fragment-replicate fallback: R
 /// partitioned by sequence hash, S broadcast to every shard — each
-/// `(r, s)` pair examined exactly once, in the shard owning `r`.
+/// `(r, s)` pair examined exactly once, in the shard owning `r`.  The
+/// uneven-end schedules run at batch 1/8/64 on one and two shards:
+/// whichever shard holds a stream's last arrivals in a partial entry
+/// frame, their expiries must not overtake them.
 #[test]
 fn band_mesh_fragment_replicate_matches_the_oracle() {
     for case in 0..2u64 {
@@ -222,7 +265,26 @@ fn band_mesh_fragment_replicate_matches_the_oracle() {
                 shards,
                 &MeshPlan::none(),
                 0,
+                4,
             );
+        }
+    }
+    for (label, schedule) in uneven_end_schedules() {
+        for shards in [1usize, 2] {
+            for batch in [1usize, 8, 64] {
+                check_mesh_case(
+                    &format!("{label} ({shards} shards, batch {batch})"),
+                    &schedule,
+                    BandPredicate::default(),
+                    llhj_factory(BandPredicate::default()),
+                    Algorithm::Llhj,
+                    RouteMode::FragmentReplicate,
+                    shards,
+                    &MeshPlan::none(),
+                    0,
+                    batch,
+                );
+            }
         }
     }
 }
@@ -249,5 +311,6 @@ fn band_mesh_fragment_replicate_survives_a_mid_run_split_and_merge() {
         2,
         &MeshPlan::from_steps(&[(split_at, 4, 2), (merge_at, 2, 2)]),
         2,
+        4,
     );
 }
