@@ -1,11 +1,14 @@
-//! Paced-run wakeup/latency measurement: the companion binary of the
-//! `paced_latency` criterion bench.  It replays an equi-join workload in
-//! real time (the operating mode whose tail latency the event-driven
-//! scheduler exists for), and reports the number of idle worker wake-ups
-//! together with the frame-latency distribution.  `BENCH_wakeup.json` at
-//! the repo root snapshots this output before and after the switch from
-//! 100 µs idle polling to condvar wake-ups.
+//! Paced-run wake-up and latency measurement.  Replays an equi-join
+//! workload in real time — the operating mode the event-driven worker
+//! wake-ups and the driver's punctual pacing wait exist for — at batch
+//! 1, 8 and 64, asserts that every row's result keys equal the Kang
+//! oracle's on the same schedule, and prints the idle worker wake-ups
+//! and the per-result latency distribution as JSON, with the host that
+//! measured them.  `BENCH_wakeup.json` at the repo root is a snapshot.
+//!
+//! Run with `cargo run --release -p llhj-bench --bin bench_wakeup`.
 
+use llhj_baselines::run_kang;
 use llhj_core::homing::RoundRobin;
 use llhj_core::time::TimeDelta;
 use llhj_core::window::WindowSpec;
@@ -30,6 +33,7 @@ fn main() {
     let window = WindowSpec::Count(250);
     let schedule = equi_join_schedule(&workload, window, window);
     let nodes = 4;
+    let oracle = run_kang(EquiXaPredicate, &schedule).result_keys();
 
     println!("{{\n  \"experiment\": \"paced_wakeups\",");
     println!("  \"host\": {},", llhj_bench::host_meta_json());
@@ -52,6 +56,11 @@ fn main() {
             RoundRobin,
             &schedule,
             &opts,
+        );
+        assert_eq!(
+            outcome.result_keys(),
+            oracle,
+            "batch {batch_size}: the paced run's results differ from Kang's"
         );
         let mut lat: Vec<f64> = outcome
             .results

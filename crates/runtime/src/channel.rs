@@ -98,7 +98,13 @@ impl WaitSet {
     /// Returns `true` if the epoch moved (a notification arrived), `false`
     /// on timeout — the caller should re-poll either way.
     pub fn wait(&self, seen: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        self.wait_until(seen, Instant::now() + timeout)
+    }
+
+    /// [`wait`](WaitSet::wait) with an absolute deadline: parks until the
+    /// epoch differs from `seen` or `deadline` passes, for callers that
+    /// already hold an [`Instant`] (the pacing waits).
+    pub fn wait_until(&self, seen: u64, deadline: Instant) -> bool {
         let mut guard = self.inner.lock.lock().expect("waitset poisoned");
         // Registration order matters: advertise the waiter *before* the
         // epoch re-check.  A notify that misses the registration therefore
@@ -144,8 +150,8 @@ impl std::fmt::Debug for WaitSet {
 ///
 /// The driver's real-time pacing can sleep for arbitrarily long between
 /// schedule events (a silent stream, a long simulated gap).  Instead of
-/// `thread::sleep`, the driver parks on the token's [`WaitSet`] with the
-/// pacing gap as the timeout, so an external [`cancel`](CancelToken::cancel)
+/// `thread::sleep`, the driver parks on the token's [`WaitSet`] until the
+/// pacing deadline, so an external [`cancel`](CancelToken::cancel)
 /// interrupts the wait immediately: the run stops injecting, drains the
 /// pipeline and returns the partial outcome — it does not have to sleep
 /// out the gap first.
@@ -185,11 +191,9 @@ impl CancelToken {
             if self.is_cancelled() {
                 return true;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
+            if !self.signal.wait_until(seen, deadline) {
+                return self.is_cancelled();
             }
-            self.signal.wait(seen, deadline - now);
         }
     }
 }

@@ -68,8 +68,8 @@ use crate::autoscale::{AutoscaleOptions, Controller};
 use crate::channel::{spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
 use crate::exec::{
     flush_slice, pace_until, spawn_collector, CensusReport, CoreMap, EntryState, InFlight,
-    ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared, ENTRY_FRAMES,
-    MIN_PACING_SLICE, RING_SLOTS,
+    PunctualTimers, ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared,
+    ENTRY_FRAMES, MIN_PACING_SLICE, RING_SLOTS,
 };
 use crate::metrics::MetricsBus;
 use crate::options::{Pacing, PipelineOptions};
@@ -639,6 +639,7 @@ where
         controller: Option<&Controller>,
         mut after_inject: impl FnMut(&mut Self, usize, &DriverEvent<R, S>),
     ) -> bool {
+        let _timers = PunctualTimers::new(self.options.pacing);
         let cancel = self.options.cancel.clone().unwrap_or_default();
         // The frame holding a stream's last arrival leaves at once.
         let (r, s) = events.iter().fold((0, 0), |(r, s), e| match e.event {

@@ -16,7 +16,8 @@
 //!   flush on an idle entry link once the driver has caught up, batch
 //!   only while the entry node or the driver is busy, up to `batch_size`
 //!   arrivals or `flush_interval` of age.
-//! * [`pace_until`] — the drivers' sliced real-time pacing wait.
+//! * [`pace_until`] — the drivers' sliced real-time pacing wait, and
+//!   [`PunctualTimers`], which holds a paced driver's timer slack at 1 ns.
 //! * [`spawn_collector`] — the collector thread: reads the high-water
 //!   marks *before* vacuuming (Section 6.1.3 step 1), drains the
 //!   per-worker result rings, emits punctuations, and publishes the
@@ -173,6 +174,92 @@ pub(crate) fn pin_thread(core: usize) {
 /// on the caller's thread, which must not stay pinned after the run).
 pub(crate) fn unpin_thread() {
     affinity::unpin_current_thread();
+}
+
+// ---------------------------------------------------------------------------
+// Timer slack
+// ---------------------------------------------------------------------------
+
+#[cfg(all(target_os = "linux", not(llhj_model)))]
+mod timer_slack {
+    use std::ffi::{c_int, c_ulong};
+
+    // `prctl` declared directly, like `sched_setaffinity` above.
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+
+    const PR_SET_TIMERSLACK: c_int = 29;
+    const PR_GET_TIMERSLACK: c_int = 30;
+
+    /// The calling thread's timer slack in ns, `None` if unreadable.
+    pub(super) fn get() -> Option<c_ulong> {
+        // SAFETY: PR_GET_TIMERSLACK takes no further argument and only
+        // returns the calling thread's slack (or -1 on error); it touches
+        // no memory of ours.
+        let slack = unsafe { prctl(PR_GET_TIMERSLACK) };
+        c_ulong::try_from(slack).ok()
+    }
+
+    /// Sets the calling thread's timer slack to `ns` (which must not be 0:
+    /// 0 means "reset to the default").  Returns whether it took effect.
+    pub(super) fn set(ns: c_ulong) -> bool {
+        // SAFETY: PR_SET_TIMERSLACK reads its one `unsigned long` argument
+        // by value and changes only the calling thread's timer slack.
+        unsafe { prctl(PR_SET_TIMERSLACK, ns) == 0 }
+    }
+}
+
+#[cfg(not(all(target_os = "linux", not(llhj_model))))]
+mod timer_slack {
+    use std::ffi::c_ulong;
+
+    pub(super) fn get() -> Option<c_ulong> {
+        None
+    }
+
+    pub(super) fn set(_ns: c_ulong) -> bool {
+        false
+    }
+}
+
+/// Holds the calling thread's timer slack at 1 ns while a paced driver
+/// replays its schedule, and restores the previous slack on drop (also
+/// when the replay unwinds).
+///
+/// Linux lets a timed park overshoot its deadline by the thread's timer
+/// slack (50 µs by default) so that it can coalesce wake-ups; a paced
+/// driver parked until an arrival is due would then inject every arrival
+/// that late, and the delay would add to every result's latency.  1 ns is
+/// the smallest slack (0 means "reset to the default").  The driver still
+/// never wakes early.  Threads the driver spawns meanwhile — a grow's new
+/// workers — inherit the slack; their parks end on notifications, except
+/// for the [`WORKER_PARK`] safety net.  A no-op when unpaced, off Linux
+/// and under the model backend.
+pub(crate) struct PunctualTimers {
+    restore: Option<std::ffi::c_ulong>,
+}
+
+impl PunctualTimers {
+    pub(crate) fn new(pacing: Pacing) -> PunctualTimers {
+        let restore = match pacing {
+            // A slack of at most 1 ns is already punctual (and 0 could
+            // not be restored: setting 0 resets to the default).
+            Pacing::RealTime { .. } => {
+                timer_slack::get().filter(|&slack| slack > 1 && timer_slack::set(1))
+            }
+            Pacing::Unpaced => None,
+        };
+        PunctualTimers { restore }
+    }
+}
+
+impl Drop for PunctualTimers {
+    fn drop(&mut self) {
+        if let Some(slack) = self.restore {
+            timer_slack::set(slack);
+        }
+    }
 }
 
 /// The one stream clock of a deployment: the only mapping between wall
@@ -649,11 +736,11 @@ pub(crate) fn pace_until(
     mut on_slice: impl FnMut(),
 ) -> bool {
     loop {
-        if Instant::now() >= deadline {
+        let now = Instant::now();
+        if now >= deadline {
             return false;
         }
         on_slice();
-        let now = Instant::now();
         let wake = slice.map_or(deadline, |slice| deadline.min(now + slice));
         if cancel.wait_until(wake) {
             return true;
@@ -1656,6 +1743,40 @@ mod tests {
         }
         let unpaced = StreamClock::new(Pacing::Unpaced);
         assert!(unpaced.deadline(Timestamp::from_secs(60)) <= Instant::now());
+    }
+
+    /// A paced driver's slack reads 1 ns inside the guard and the previous
+    /// slack after it — also after a replay that unwinds.  An unpaced
+    /// guard leaves the slack alone.
+    #[cfg(all(target_os = "linux", not(llhj_model)))]
+    #[test]
+    fn punctual_timers_hold_one_ns_and_restore_the_slack() {
+        const PREVIOUS: std::ffi::c_ulong = 123_456;
+        let original = timer_slack::get().expect("PR_GET_TIMERSLACK");
+        assert!(timer_slack::set(PREVIOUS));
+        let paced = Pacing::RealTime { speedup: 1.0 };
+        {
+            let _timers = PunctualTimers::new(paced);
+            assert_eq!(timer_slack::get(), Some(1));
+        }
+        assert_eq!(timer_slack::get(), Some(PREVIOUS));
+
+        let mut inside = None;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _timers = PunctualTimers::new(paced);
+            inside = timer_slack::get();
+            std::panic::resume_unwind(Box::new("replay unwinds"));
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(inside, Some(1), "slack inside the unwinding replay");
+        assert_eq!(timer_slack::get(), Some(PREVIOUS), "slack after unwinding");
+
+        {
+            let _timers = PunctualTimers::new(Pacing::Unpaced);
+            assert_eq!(timer_slack::get(), Some(PREVIOUS));
+        }
+        assert_eq!(timer_slack::get(), Some(PREVIOUS));
+        assert!(timer_slack::set(original));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use crate::channel::CancelToken;
 use crate::elastic::{CheckpointConfig, ElasticPipeline, NodeFactory, ScalePipeline};
-use crate::exec::{flush_slice, pace_until, StreamClock};
+use crate::exec::{flush_slice, pace_until, PunctualTimers, StreamClock};
 use crate::options::PipelineOptions;
 use crate::pipeline::RunOutcome;
 use llhj_core::checkpoint::{
@@ -343,6 +343,7 @@ where
         plan: &MeshPlan,
         mut after_inject: impl FnMut(&mut Self, usize, &DriverEvent<R, S>),
     ) {
+        let _timers = PunctualTimers::new(self.options.pacing);
         let cancel = self.options.cancel.clone().unwrap_or_default();
         let mut steps = plan.steps.iter().peekable();
         for (idx, event) in events.iter().enumerate() {

@@ -11,13 +11,20 @@ pub enum Pacing {
     /// processing time, so an expiry is often due while its own arrival is
     /// still travelling; the driver's expiry barrier then drains the
     /// pipeline before the expiry enters, so throughput in this mode
-    /// depends on the window length.  No test asserts exact window
-    /// semantics in this mode yet; use [`Pacing::RealTime`] whenever they
-    /// matter.
+    /// depends on the window length.  `tests/batching_equivalence.rs`
+    /// (`unpaced_short_count_windows_match_kang`) asserts exact window
+    /// semantics in this mode on short count windows, where the barrier
+    /// fires most.
     Unpaced,
     /// Replay the schedule in (scaled) real time: one second of stream time
     /// takes `1 / speedup` seconds of wall-clock time.  Latencies are
     /// measured against the scaled stream clock.
+    ///
+    /// Each event is injected at its due instant, give or take one OS
+    /// wake-up, and never before it.  For the length of the replay the
+    /// calling (driver) thread's timer slack is held at 1 ns, so the
+    /// kernel does not defer the driver's wake-ups to coalesce them; the
+    /// previous slack is restored when the replay returns.
     RealTime {
         /// Stream-seconds per wall-clock second.
         speedup: f64,

@@ -371,11 +371,10 @@ impl<T> Ring<T> {
                 Err(TryRecvError::Disconnected) => return Err(TryRecvError::Disconnected),
                 Err(TryRecvError::Empty) => {}
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return Err(TryRecvError::Empty);
             }
-            self.wake.wait(seen, deadline - now);
+            self.wake.wait_until(seen, deadline);
         }
     }
 

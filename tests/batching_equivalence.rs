@@ -21,7 +21,9 @@
 //! widths, a chain grown and shrunk mid-run (the resize fences drain,
 //! detach and re-wire ring edges at the chain boundaries — the window
 //! where a transport bug would lose or duplicate a frame), and a run with
-//! `pin_cores` on — every one byte-identical to the Kang oracle.
+//! `pin_cores` on — every one byte-identical to the Kang oracle.  An
+//! unpaced sweep over short count windows holds the expiry barrier to the
+//! same standard.
 
 use handshake_join::baselines::run_kang;
 use handshake_join::prelude::*;
@@ -401,6 +403,73 @@ fn batched_runtime_matches_kang_on_both_workloads_across_widths() {
                 equi_oracle,
                 "{label}: equi vs oracle"
             );
+        }
+    }
+}
+
+/// Unpaced fixed chains with short count windows: the driver runs far
+/// ahead of the chain, so the expiry barrier (ARCHITECTURE invariant 8)
+/// holds almost every expiry until its own arrival has left the chain.
+/// Band and indexed equi joins, count 16 and 64, widths 1/2/4, batch
+/// 1/16/64, three seeds at 2000 tuples/s per stream for 1 s — every run
+/// byte-identical to the oracle.
+#[test]
+fn unpaced_short_count_windows_match_kang() {
+    let unpaced = |batch_size: usize| PipelineOptions {
+        batch_size,
+        pacing: Pacing::Unpaced,
+        ..Default::default()
+    };
+    for count in [16usize, 64] {
+        let window = WindowSpec::Count(count);
+        for seed in [0xC0_0016u64, 0xC0_0064, 0xC0_FFEE] {
+            let band_workload =
+                BandJoinWorkload::scaled(2_000.0, TimeDelta::from_secs(1), 220, seed);
+            let band = band_join_schedule(&band_workload, window, window);
+            let equi_workload = EquiJoinWorkload {
+                rate_per_sec: 2_000.0,
+                duration: TimeDelta::from_secs(1),
+                domain: 60,
+                seed,
+            };
+            let equi = equi_join_schedule(&equi_workload, window, window);
+            let band_oracle = run_kang(BandPredicate::default(), &band).result_keys();
+            let equi_oracle = run_kang(EquiXaPredicate, &equi).result_keys();
+            assert!(
+                band_oracle.len() > 100 && equi_oracle.len() > 100,
+                "count {count}, seed {seed:#x}: degenerate workload"
+            );
+            for nodes in [1usize, 2, 4] {
+                for batch_size in [1usize, 16, 64] {
+                    let label =
+                        format!("count {count}, seed {seed:#x}, {nodes} nodes, batch {batch_size}");
+                    let pred = BandPredicate::default();
+                    let band_run = run_pipeline(
+                        llhj_nodes(nodes, pred),
+                        pred,
+                        RoundRobin,
+                        &band,
+                        &unpaced(batch_size),
+                    );
+                    assert_eq!(
+                        band_run.result_keys(),
+                        band_oracle,
+                        "{label}: band vs oracle"
+                    );
+                    let equi_run = run_pipeline(
+                        llhj_indexed_nodes(nodes, EquiXaPredicate),
+                        EquiXaPredicate,
+                        HashKey,
+                        &equi,
+                        &unpaced(batch_size),
+                    );
+                    assert_eq!(
+                        equi_run.result_keys(),
+                        equi_oracle,
+                        "{label}: equi vs oracle"
+                    );
+                }
+            }
         }
     }
 }
