@@ -1,5 +1,6 @@
 //! Runs the batching sweep on the threaded runtime and the simulator,
-//! prints the report and writes the `BENCH_batching.json` snapshot.
+//! asserts that every row's results equal the Kang oracle's, prints the
+//! report and writes the `BENCH_batching.json` snapshot.
 
 use llhj_bench::experiments::batching;
 use llhj_bench::Scale;

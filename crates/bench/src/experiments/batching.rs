@@ -13,6 +13,7 @@
 //! wall-clock noise.
 
 use crate::{fmt_f, Scale, TextTable};
+use llhj_baselines::run_kang;
 use llhj_core::homing::RoundRobin;
 use llhj_core::time::TimeDelta;
 use llhj_core::window::WindowSpec;
@@ -33,11 +34,8 @@ pub struct BatchingRow {
     pub sim_latency_ms: f64,
     /// Simulator frames delivered (injections plus forwards).
     pub sim_frames: u64,
-    /// Result count (diagnostic: the unpaced stress replay may differ
-    /// slightly across granularities because stream time runs far ahead of
-    /// processing time — see [`llhj_runtime::Pacing::Unpaced`]; exact
-    /// semantic equivalence under batching is asserted by the real-time
-    /// `batching_equivalence` integration test).
+    /// Result count; [`run`] asserts the result set equals the Kang
+    /// oracle's on the sweep's schedule.
     pub results: usize,
 }
 
@@ -97,15 +95,21 @@ pub fn sweep_workload(scale: &Scale) -> EquiJoinWorkload {
 }
 
 /// Runs the sweep over the given batch sizes.
+///
+/// # Panics
+///
+/// If a row's threaded result set differs from the Kang oracle's on the
+/// same schedule.
 pub fn run(scale: &Scale, batch_sizes: &[usize]) -> BatchingReport {
     let workload = sweep_workload(scale);
     let window = WindowSpec::Count((workload.rate_per_sec / 4.0) as usize);
     let schedule = equi_join_schedule(&workload, window, window);
+    let oracle = run_kang(EquiXaPredicate, &schedule).result_keys();
     let nodes = 4;
 
     let mut rows = Vec::with_capacity(batch_sizes.len());
     for &batch_size in batch_sizes {
-        // Wall-clock side: the threaded runtime, unpaced (stress mode).
+        // Wall-clock side: the threaded runtime, unpaced.
         let opts = PipelineOptions {
             batch_size,
             ..Default::default()
@@ -116,6 +120,11 @@ pub fn run(scale: &Scale, batch_sizes: &[usize]) -> BatchingReport {
             RoundRobin,
             &schedule,
             &opts,
+        );
+        assert_eq!(
+            outcome.result_keys(),
+            oracle,
+            "batch {batch_size}: the threaded run's results differ from Kang's"
         );
 
         // Virtual-time side: the simulator at the same granularity.
@@ -168,12 +177,17 @@ mod tests {
 
     #[test]
     fn sweep_is_consistent_and_batching_helps() {
-        let report = run(&Scale::smoke(), &[1, 16]);
+        let scale = Scale::smoke();
+        let report = run(&scale, &[1, 16]);
         assert_eq!(report.rows.len(), 2);
-        // Both granularities find a comparable number of matches (exact
-        // equality is a property of paced replays, not the unpaced stress
-        // mode; see the batching_equivalence integration test).
-        assert!(report.rows[0].results > 0 && report.rows[1].results > 0);
+        // `run` asserts each row's result set equals Kang's; the counts
+        // must then agree with the oracle's, and be non-trivial.
+        let workload = sweep_workload(&scale);
+        let window = WindowSpec::Count((workload.rate_per_sec / 4.0) as usize);
+        let schedule = equi_join_schedule(&workload, window, window);
+        let kang = run_kang(EquiXaPredicate, &schedule).results.len();
+        assert!(kang > 0);
+        assert!(report.rows.iter().all(|row| row.results == kang));
         // Coarser frames -> fewer frames, both measured and simulated.
         assert!(report.rows[1].frames_injected < report.rows[0].frames_injected);
         assert!(report.rows[1].sim_frames < report.rows[0].sim_frames);

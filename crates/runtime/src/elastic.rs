@@ -67,9 +67,9 @@
 use crate::autoscale::{AutoscaleOptions, Controller};
 use crate::channel::{spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
 use crate::exec::{
-    flush_slice, pace_until, spawn_collector, CensusReport, CoreMap, EntryState, InFlight,
-    PunctualTimers, ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared,
-    ENTRY_FRAMES, MIN_PACING_SLICE, RING_SLOTS,
+    flush_slice, spawn_collector, CensusReport, CoreMap, EntryState, InFlight, PunctualTimers,
+    ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared, ENTRY_FRAMES,
+    MIN_PACING_SLICE, RING_SLOTS,
 };
 use crate::metrics::MetricsBus;
 use crate::options::{Pacing, PipelineOptions};
@@ -593,9 +593,10 @@ where
     }
 
     /// Pacing wait before injecting an event scheduled at `at`, until the
-    /// stream clock's deadline for it (the drivers' shared
-    /// `exec::pace_until`; unpaced, the deadline has always passed).
-    /// Returns `true` if the wait was cancelled.
+    /// stream clock's deadline for it (the replay's `timers` run the
+    /// drivers' shared wait, `exec::PunctualTimers::pace_until`; unpaced,
+    /// the deadline has always passed).  Returns `true` if the wait was
+    /// cancelled.
     ///
     /// The flush policy runs before the first park, so a frame leaves on
     /// an idle link as soon as the driver has caught up.  The wait is
@@ -613,6 +614,7 @@ where
     /// nothing in flight to drain).
     fn pace_until(
         &mut self,
+        timers: &mut PunctualTimers,
         at: Timestamp,
         slice: Option<Duration>,
         cancel: &crate::channel::CancelToken,
@@ -620,7 +622,7 @@ where
     ) -> bool {
         let deadline = self.clock.deadline(at);
         self.actuate(controller);
-        pace_until(deadline, slice, cancel, || {
+        timers.pace_until(deadline, slice, cancel, || {
             self.poll_entry();
             self.actuate(controller);
         })
@@ -639,7 +641,7 @@ where
         controller: Option<&Controller>,
         mut after_inject: impl FnMut(&mut Self, usize, &DriverEvent<R, S>),
     ) -> bool {
-        let _timers = PunctualTimers::new(self.options.pacing);
+        let mut timers = PunctualTimers::new(self.options.pacing);
         let cancel = self.options.cancel.clone().unwrap_or_default();
         // The frame holding a stream's last arrival leaves at once.
         let (r, s) = events.iter().fold((0, 0), |(r, s), e| match e.event {
@@ -655,7 +657,9 @@ where
             while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
                 self.scale_to(step.target_nodes);
             }
-            if cancel.is_cancelled() || self.pace_until(event.at, slice, &cancel, controller) {
+            if cancel.is_cancelled()
+                || self.pace_until(&mut timers, event.at, slice, &cancel, controller)
+            {
                 self.cancelled = true;
                 break;
             }

@@ -16,8 +16,10 @@
 //!   flush on an idle entry link once the driver has caught up, batch
 //!   only while the entry node or the driver is busy, up to `batch_size`
 //!   arrivals or `flush_interval` of age.
-//! * [`pace_until`] — the drivers' sliced real-time pacing wait, and
-//!   [`PunctualTimers`], which holds a paced driver's timer slack at 1 ns.
+//! * [`PunctualTimers`] — a paced driver's guard: holds its timer slack
+//!   at 1 ns and runs its sliced real-time pacing wait
+//!   ([`PunctualTimers::pace_until`]), which parks until a learned
+//!   wake-up margin before each deadline and spins the rest.
 //! * [`spawn_collector`] — the collector thread: reads the high-water
 //!   marks *before* vacuuming (Section 6.1.3 step 1), drains the
 //!   per-worker result rings, emits punctuations, and publishes the
@@ -224,33 +226,104 @@ mod timer_slack {
 }
 
 /// Holds the calling thread's timer slack at 1 ns while a paced driver
-/// replays its schedule, and restores the previous slack on drop (also
-/// when the replay unwinds).
+/// replays its schedule, restores the previous slack on drop (also when
+/// the replay unwinds), and runs the driver's pacing wait
+/// ([`Self::pace_until`]) with the wake-up margin it has learned.
 ///
 /// Linux lets a timed park overshoot its deadline by the thread's timer
 /// slack (50 µs by default) so that it can coalesce wake-ups; a paced
 /// driver parked until an arrival is due would then inject every arrival
 /// that late, and the delay would add to every result's latency.  1 ns is
-/// the smallest slack (0 means "reset to the default").  The driver still
-/// never wakes early.  Threads the driver spawns meanwhile — a grow's new
-/// workers — inherit the slack; their parks end on notifications, except
-/// for the [`WORKER_PARK`] safety net.  A no-op when unpaced, off Linux
-/// and under the model backend.
+/// the smallest slack (0 means "reset to the default").  Even at 1 ns a
+/// park still wakes one kernel timer wake-up late, a few µs that hardly
+/// vary from park to park, so the guard also learns that lateness and
+/// the wait parks that much short of a deadline and spins the rest.  The
+/// driver still never injects early.  Threads the driver spawns
+/// meanwhile — a grow's new workers — inherit the slack; their parks end
+/// on notifications, except for the [`WORKER_PARK`] safety net.  The
+/// slack is left alone when unpaced, off Linux and under the model
+/// backend; the margin stays 0 when unpaced and under the model backend.
 pub(crate) struct PunctualTimers {
     restore: Option<std::ffi::c_ulong>,
+    /// Moving average, in ns, of how late this thread's timed parks woke
+    /// (gain 1/8, each sample clamped to [`MIN_PACING_SLICE`]): how far
+    /// short of a deadline the pacing wait stops parking.  `None` — a
+    /// margin of 0, never learned — when unpaced and under the model
+    /// backend, whose frozen clock would never end a spin.
+    margin_ns: Option<u64>,
 }
 
 impl PunctualTimers {
     pub(crate) fn new(pacing: Pacing) -> PunctualTimers {
-        let restore = match pacing {
+        let (restore, margin_ns) = match pacing {
             // A slack of at most 1 ns is already punctual (and 0 could
             // not be restored: setting 0 resets to the default).
-            Pacing::RealTime { .. } => {
-                timer_slack::get().filter(|&slack| slack > 1 && timer_slack::set(1))
-            }
-            Pacing::Unpaced => None,
+            Pacing::RealTime { .. } => (
+                timer_slack::get().filter(|&slack| slack > 1 && timer_slack::set(1)),
+                (!cfg!(llhj_model)).then_some(0),
+            ),
+            Pacing::Unpaced => (None, None),
         };
-        PunctualTimers { restore }
+        PunctualTimers { restore, margin_ns }
+    }
+
+    /// The drivers' real-time pacing wait: waits until `deadline`, running
+    /// `on_slice` — the idle-driver entry flush poll, plus the autoscaler's
+    /// actuation on the elastic driver — before the first park and again
+    /// every `slice` (if any).  A driver that is already due never runs
+    /// it.  So a frame leaves on an idle link as soon as the driver has
+    /// caught up, and a frame held back by a busy link, or one aging
+    /// towards `flush_interval`, leaves during an arrival gap without a
+    /// timer thread.
+    ///
+    /// The last park ends the learned margin short of `deadline`, and the
+    /// wait spins out the rest, so the event is injected at its due
+    /// instant rather than one timer wake-up after it, and never before
+    /// it.  Every park that ends on its timeout measures how late it woke
+    /// and refines the margin.  The parks are on `cancel` and the spin
+    /// polls it, so a cancel interrupts even a multi-second gap at once.
+    /// Returns `true` if the wait was cancelled.
+    pub(crate) fn pace_until(
+        &mut self,
+        deadline: Instant,
+        slice: Option<Duration>,
+        cancel: &CancelToken,
+        mut on_slice: impl FnMut(),
+    ) -> bool {
+        loop {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            on_slice();
+            let margin = Duration::from_nanos(self.margin_ns.unwrap_or(0));
+            let park_end = deadline.checked_sub(margin).unwrap_or(now);
+            if now >= park_end {
+                // Inside the margin: a park would wake after the deadline.
+                while Instant::now() < deadline {
+                    if cancel.is_cancelled() {
+                        return true;
+                    }
+                    std::hint::spin_loop();
+                }
+                return false;
+            }
+            let wake = slice.map_or(park_end, |slice| park_end.min(now + slice));
+            if cancel.wait_until(wake) {
+                return true;
+            }
+            self.learn(Instant::now().saturating_duration_since(wake));
+        }
+    }
+
+    /// Folds one park's wake-up lateness into the margin.  The clamp
+    /// keeps the margin at most [`MIN_PACING_SLICE`], so a descheduled
+    /// thread cannot turn the wait into a long spin.
+    fn learn(&mut self, lateness: Duration) {
+        if let Some(margin) = &mut self.margin_ns {
+            let sample = lateness.min(MIN_PACING_SLICE).as_nanos() as u64;
+            *margin = (7 * *margin + sample) / 8;
+        }
     }
 }
 
@@ -718,34 +791,6 @@ pub(crate) fn flush_slice(options: &PipelineOptions) -> Option<Duration> {
     options
         .flush_interval
         .map(|interval| (options.stream_to_wall(interval) / 2).max(MIN_PACING_SLICE))
-}
-
-/// The drivers' real-time pacing wait: parks until `deadline`, running
-/// `on_slice` — the idle-driver entry flush poll, plus the autoscaler's
-/// actuation on the elastic driver — before the first park and again
-/// every `slice` (if any).  A driver that is already due never runs it.
-/// So a frame leaves on an idle link as soon as the driver has caught up,
-/// and a frame held back by a busy link, or one aging towards
-/// `flush_interval`, leaves during an arrival gap without a timer thread.
-/// The wait parks on `cancel`, so a cancel interrupts even a multi-second
-/// gap at once.  Returns `true` if the wait was cancelled.
-pub(crate) fn pace_until(
-    deadline: Instant,
-    slice: Option<Duration>,
-    cancel: &CancelToken,
-    mut on_slice: impl FnMut(),
-) -> bool {
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return false;
-        }
-        on_slice();
-        let wake = slice.map_or(deadline, |slice| deadline.min(now + slice));
-        if cancel.wait_until(wake) {
-            return true;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1777,6 +1822,95 @@ mod tests {
         }
         assert_eq!(timer_slack::get(), Some(PREVIOUS));
         assert!(timer_slack::set(original));
+    }
+
+    /// The pacing wait never returns before its deadline: over 200 short
+    /// gaps, first while the margin is learned from the parks' lateness,
+    /// then from a margin preset above some gaps, so that both the park
+    /// and the spin end waits.
+    #[test]
+    fn pacing_wait_never_returns_before_its_deadline() {
+        let mut timers = PunctualTimers::new(Pacing::RealTime { speedup: 1.0 });
+        let cancel = CancelToken::new();
+        let mut deadline = Instant::now();
+        for i in 0..200u64 {
+            if i == 100 {
+                timers.margin_ns = Some(40_000);
+            }
+            deadline += Duration::from_micros(20 + (i * 37) % 81);
+            assert!(!timers.pace_until(deadline, None, &cancel, || {}));
+            let now = Instant::now();
+            assert!(
+                now >= deadline,
+                "wait {i} returned {:?} early",
+                deadline - now
+            );
+        }
+    }
+
+    /// A cancel reaches a wait in its spin phase: with a margin preset far
+    /// above the gap, the whole wait spins, and a cancel from another
+    /// thread ends it long before the deadline.
+    #[test]
+    fn cancel_interrupts_the_spin_phase() {
+        let mut timers = PunctualTimers::new(Pacing::RealTime { speedup: 1.0 });
+        timers.margin_ns = Some(60_000_000_000);
+        let cancel = CancelToken::new();
+        let canceller = cancel.clone();
+        let (spinning_tx, spinning_rx) = llhj_sync::sync::mpsc::channel();
+        let start = Instant::now();
+        let deadline = start + Duration::from_secs(30);
+        let cancelling = thread::spawn(move || {
+            spinning_rx.recv().expect("the wait reached its spin phase");
+            canceller.cancel();
+        });
+        // `on_slice` runs just before the spin, so the cancel lands in it.
+        let cancelled = timers.pace_until(deadline, None, &cancel, || {
+            spinning_tx.send(()).expect("canceller alive");
+        });
+        cancelling.join().expect("canceller panicked");
+        assert!(cancelled);
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "cancel was not prompt"
+        );
+    }
+
+    /// The margin is a bounded moving average: one 5 ms oversleep (a
+    /// descheduled thread) leaves it at most `MIN_PACING_SLICE`, and small
+    /// samples decay it again.
+    #[test]
+    fn learned_margin_is_clamped_and_decays() {
+        let mut timers = PunctualTimers::new(Pacing::RealTime { speedup: 1.0 });
+        if cfg!(llhj_model) {
+            // The model's clock is frozen: no margin, the wait only parks.
+            timers.learn(Duration::from_micros(10));
+            assert_eq!(timers.margin_ns, None);
+            return;
+        }
+        timers.learn(Duration::from_millis(5));
+        let after_oversleep = timers.margin_ns.expect("a paced guard learns");
+        assert!(after_oversleep > 0);
+        assert!(after_oversleep <= MIN_PACING_SLICE.as_nanos() as u64);
+        for _ in 0..20 {
+            timers.learn(Duration::from_millis(5));
+        }
+        assert!(timers.margin_ns <= Some(MIN_PACING_SLICE.as_nanos() as u64));
+        for _ in 0..100 {
+            timers.learn(Duration::from_micros(2));
+        }
+        let decayed = timers.margin_ns.expect("still learning");
+        assert!(decayed < 2_100, "margin {decayed} ns after 2 µs samples");
+    }
+
+    /// An unpaced guard never learns a margin, even across a real wait.
+    #[test]
+    fn unpaced_guard_keeps_a_zero_margin() {
+        let mut timers = PunctualTimers::new(Pacing::Unpaced);
+        let deadline = Instant::now() + Duration::from_micros(200);
+        assert!(!timers.pace_until(deadline, None, &CancelToken::new(), || {}));
+        timers.learn(Duration::from_millis(1));
+        assert_eq!(timers.margin_ns, None);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use crate::channel::CancelToken;
 use crate::elastic::{CheckpointConfig, ElasticPipeline, NodeFactory, ScalePipeline};
-use crate::exec::{flush_slice, pace_until, PunctualTimers, StreamClock};
+use crate::exec::{flush_slice, PunctualTimers, StreamClock};
 use crate::options::PipelineOptions;
 use crate::pipeline::RunOutcome;
 use llhj_core::checkpoint::{
@@ -203,12 +203,12 @@ where
     }
 
     /// Pacing before injecting an event scheduled at `at`, until the mesh
-    /// clock's deadline for it: the drivers' shared sliced wait, applying
-    /// every chain's idle-driver flush policy before each park.  Returns
-    /// `true` if the wait was cancelled.
-    fn pace(&mut self, at: Timestamp, cancel: &CancelToken) -> bool {
+    /// clock's deadline for it: the drivers' shared sliced wait, run by
+    /// the replay's `timers`, applying every chain's idle-driver flush
+    /// policy before each park.  Returns `true` if the wait was cancelled.
+    fn pace(&mut self, timers: &mut PunctualTimers, at: Timestamp, cancel: &CancelToken) -> bool {
         let deadline = self.clock.deadline(at);
-        pace_until(deadline, flush_slice(&self.options), cancel, || {
+        timers.pace_until(deadline, flush_slice(&self.options), cancel, || {
             for chain in &mut self.chains {
                 chain.poll_entry();
             }
@@ -343,14 +343,14 @@ where
         plan: &MeshPlan,
         mut after_inject: impl FnMut(&mut Self, usize, &DriverEvent<R, S>),
     ) {
-        let _timers = PunctualTimers::new(self.options.pacing);
+        let mut timers = PunctualTimers::new(self.options.pacing);
         let cancel = self.options.cancel.clone().unwrap_or_default();
         let mut steps = plan.steps.iter().peekable();
         for (idx, event) in events.iter().enumerate() {
             while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
                 self.reshape(step.shards, step.width, idx);
             }
-            if cancel.is_cancelled() || self.pace(event.at, &cancel) {
+            if cancel.is_cancelled() || self.pace(&mut timers, event.at, &cancel) {
                 self.cancelled = true;
                 break;
             }

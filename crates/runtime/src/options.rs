@@ -20,11 +20,13 @@ pub enum Pacing {
     /// takes `1 / speedup` seconds of wall-clock time.  Latencies are
     /// measured against the scaled stream clock.
     ///
-    /// Each event is injected at its due instant, give or take one OS
-    /// wake-up, and never before it.  For the length of the replay the
-    /// calling (driver) thread's timer slack is held at 1 ns, so the
-    /// kernel does not defer the driver's wake-ups to coalesce them; the
-    /// previous slack is restored when the replay returns.
+    /// Each event is injected at its due instant, never before it.  The
+    /// driver's wait parks until a learned margin before the deadline —
+    /// the measured lateness of its own timed wake-ups, at most 50 µs —
+    /// and spins the rest.  For the length of the replay the calling
+    /// (driver) thread's timer slack is held at 1 ns, so the kernel does
+    /// not defer the driver's wake-ups to coalesce them; the previous
+    /// slack is restored when the replay returns.
     RealTime {
         /// Stream-seconds per wall-clock second.
         speedup: f64,
