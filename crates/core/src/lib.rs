@@ -115,7 +115,7 @@ pub use stats::{LatencyPoint, LatencySeries, LatencySummary, NodeCounters};
 pub use store::{ColumnarPayload, ColumnarWindow, IwsBuffer, KeyFn, LocalWindow, ProbeCost};
 pub use time::{TimeDelta, Timestamp};
 pub use tuple::{NodeId, PipelineTuple, SeqNo, Side, StreamTuple};
-pub use window::{Expiry, WindowSpec, WindowTracker};
+pub use window::WindowSpec;
 
 /// Convenience prelude re-exporting the types needed by typical users.
 pub mod prelude {

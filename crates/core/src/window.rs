@@ -4,20 +4,21 @@
 //! (Section 4.2.4): an external driver decides when tuples enter and leave
 //! the windows and submits arrival / expiry messages.  [`WindowSpec`]
 //! captures the two practical window types from Section 2 — time-based and
-//! tuple-based — and [`WindowTracker`] turns a stream of arrivals into the
-//! corresponding expiry points.
+//! tuple-based.  The schedule compiler in [`crate::driver`] turns a stream
+//! of arrivals into its expiry points in one linear pass, keeping only the
+//! live window (O(window) state); it rejects empty windows (`Count(0)`, a
+//! zero time span), whose tuples would leave before they arrive.
 
-use crate::time::{TimeDelta, Timestamp};
-use crate::tuple::SeqNo;
-use std::collections::VecDeque;
+use crate::time::TimeDelta;
 
 /// A sliding-window specification for one input stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowSpec {
-    /// Time-based window: a tuple stays in the window for the given span
-    /// after its arrival timestamp.
+    /// Time-based window: a tuple stays in the window for the given
+    /// (non-zero) span after its arrival timestamp.
     Time(TimeDelta),
-    /// Tuple-based window: the window always contains the last `k` tuples.
+    /// Tuple-based window: the window always contains the last `k >= 1`
+    /// tuples.
     Count(usize),
     /// Unbounded window: tuples never expire.  Useful for micro-benchmarks
     /// and tests over finite inputs.
@@ -50,132 +51,9 @@ impl WindowSpec {
     }
 }
 
-/// A pending expiry decision produced by [`WindowTracker::on_arrival`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Expiry {
-    /// The tuple that leaves the window.
-    pub seq: SeqNo,
-    /// The stream time at which it leaves.
-    pub at: Timestamp,
-}
-
-/// Tracks one stream's window and computes expiry points.
-///
-/// The tracker is driven by arrivals in timestamp order.  For time-based
-/// windows every arrival immediately yields its own (future) expiry point;
-/// for count-based windows the arrival of tuple `i + k` expires tuple `i`
-/// at that same instant (expiries are processed before arrivals with equal
-/// timestamps, mirroring steps 2 and 3 of Kang's procedure).
-#[derive(Debug)]
-pub struct WindowTracker {
-    spec: WindowSpec,
-    live: VecDeque<SeqNo>,
-    last_ts: Option<Timestamp>,
-}
-
-impl WindowTracker {
-    /// Creates a tracker for the given specification.
-    pub fn new(spec: WindowSpec) -> Self {
-        WindowTracker {
-            spec,
-            live: VecDeque::new(),
-            last_ts: None,
-        }
-    }
-
-    /// The window specification this tracker implements.
-    pub fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
-    /// Number of tuples currently considered inside the window (only
-    /// meaningful for count-based windows, where the tracker retains the
-    /// live set).
-    pub fn live_len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Registers an arrival and returns the expiries it implies.
-    ///
-    /// Panics in debug builds if arrivals are not submitted in
-    /// non-decreasing timestamp order.
-    pub fn on_arrival(&mut self, seq: SeqNo, ts: Timestamp) -> Vec<Expiry> {
-        debug_assert!(
-            self.last_ts.is_none_or(|last| ts >= last),
-            "window tracker requires non-decreasing timestamps"
-        );
-        self.last_ts = Some(ts);
-        match self.spec {
-            WindowSpec::Time(span) => vec![Expiry {
-                seq,
-                at: ts.saturating_add(span),
-            }],
-            WindowSpec::Count(k) => {
-                let mut expiries = Vec::new();
-                self.live.push_back(seq);
-                while self.live.len() > k {
-                    let victim = self.live.pop_front().expect("non-empty");
-                    expiries.push(Expiry {
-                        seq: victim,
-                        at: ts,
-                    });
-                }
-                expiries
-            }
-            WindowSpec::Unbounded => Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_window_expiry_is_arrival_plus_span() {
-        let mut tr = WindowTracker::new(WindowSpec::time_secs(10));
-        let e = tr.on_arrival(SeqNo(0), Timestamp::from_secs(3));
-        assert_eq!(
-            e,
-            vec![Expiry {
-                seq: SeqNo(0),
-                at: Timestamp::from_secs(13)
-            }]
-        );
-    }
-
-    #[test]
-    fn count_window_expires_oldest_on_overflow() {
-        let mut tr = WindowTracker::new(WindowSpec::Count(2));
-        assert!(tr.on_arrival(SeqNo(0), Timestamp::from_secs(1)).is_empty());
-        assert!(tr.on_arrival(SeqNo(1), Timestamp::from_secs(2)).is_empty());
-        let e = tr.on_arrival(SeqNo(2), Timestamp::from_secs(3));
-        assert_eq!(
-            e,
-            vec![Expiry {
-                seq: SeqNo(0),
-                at: Timestamp::from_secs(3)
-            }]
-        );
-        assert_eq!(tr.live_len(), 2);
-    }
-
-    #[test]
-    fn count_window_of_zero_expires_immediately() {
-        let mut tr = WindowTracker::new(WindowSpec::Count(0));
-        let e = tr.on_arrival(SeqNo(5), Timestamp::from_secs(1));
-        assert_eq!(e.len(), 1);
-        assert_eq!(e[0].seq, SeqNo(5));
-        assert_eq!(tr.live_len(), 0);
-    }
-
-    #[test]
-    fn unbounded_window_never_expires() {
-        let mut tr = WindowTracker::new(WindowSpec::Unbounded);
-        for i in 0..100 {
-            assert!(tr.on_arrival(SeqNo(i), Timestamp::from_secs(i)).is_empty());
-        }
-    }
 
     #[test]
     fn expected_tuples_matches_rate_times_span() {
