@@ -97,7 +97,7 @@ where
     }
 
     /// Processes one driver event.
-    pub fn process<F>(&mut self, event: &StreamEvent<R, S>, at: Timestamp, mut emit: F)
+    pub fn process<F>(&mut self, event: StreamEvent<R, S>, at: Timestamp, mut emit: F)
     where
         F: FnMut(TimedResult<R, S>),
     {
@@ -119,7 +119,7 @@ where
                 self.costs.critical_path_comparisons += max_partition;
                 self.costs.dispatches += self.cores as u64;
                 let p = Self::partition_of(r.seq, self.cores);
-                self.partitions_r[p].insert(r.clone(), false);
+                self.partitions_r[p].insert(r, false);
             }
             StreamEvent::ArrivalS(s) => {
                 let pred = &self.predicate;
@@ -138,15 +138,15 @@ where
                 self.costs.critical_path_comparisons += max_partition;
                 self.costs.dispatches += self.cores as u64;
                 let p = Self::partition_of(s.seq, self.cores);
-                self.partitions_s[p].insert(s.clone(), false);
+                self.partitions_s[p].insert(s, false);
             }
             StreamEvent::ExpireR(seq) => {
-                let p = Self::partition_of(*seq, self.cores);
-                self.partitions_r[p].remove(*seq);
+                let p = Self::partition_of(seq, self.cores);
+                self.partitions_r[p].remove(seq);
             }
             StreamEvent::ExpireS(seq) => {
-                let p = Self::partition_of(*seq, self.cores);
-                self.partitions_s[p].remove(*seq);
+                let p = Self::partition_of(seq, self.cores);
+                self.partitions_s[p].remove(seq);
             }
         }
     }
@@ -155,7 +155,7 @@ where
     pub fn run(mut self, schedule: &DriverSchedule<R, S>) -> CellJoinReport<R, S> {
         let mut results = Vec::new();
         for event in schedule.events() {
-            self.process(&event.event, event.at, |t| results.push(t));
+            self.process(event.event, event.at, |t| results.push(t));
         }
         CellJoinReport {
             results,

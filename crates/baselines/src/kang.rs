@@ -76,7 +76,7 @@ where
     }
 
     /// Processes one driver event, appending any results to `out`.
-    pub fn process<F>(&mut self, event: &StreamEvent<R, S>, at: Timestamp, mut emit: F)
+    pub fn process<F>(&mut self, event: StreamEvent<R, S>, at: Timestamp, mut emit: F)
     where
         F: FnMut(TimedResult<R, S>),
     {
@@ -93,7 +93,7 @@ where
                         emit(TimedResult::new(ResultTuple::new(r.clone(), s, 0), at));
                     },
                 );
-                self.window_r.insert(r.clone(), false);
+                self.window_r.insert(r, false);
             }
             StreamEvent::ArrivalS(s) => {
                 let pred = &self.predicate;
@@ -104,13 +104,13 @@ where
                         emit(TimedResult::new(ResultTuple::new(r, s.clone(), 0), at));
                     },
                 );
-                self.window_s.insert(s.clone(), false);
+                self.window_s.insert(s, false);
             }
             StreamEvent::ExpireR(seq) => {
-                self.window_r.remove(*seq);
+                self.window_r.remove(seq);
             }
             StreamEvent::ExpireS(seq) => {
-                self.window_s.remove(*seq);
+                self.window_s.remove(seq);
             }
         }
         self.peak = self.peak.max(self.window_r.len() + self.window_s.len());
@@ -121,7 +121,7 @@ where
         let mut results = Vec::new();
         let mut latency = LatencySummary::new();
         for event in schedule.events() {
-            self.process(&event.event, event.at, |timed| {
+            self.process(event.event, event.at, |timed| {
                 latency.record(timed.latency());
                 results.push(timed);
             });

@@ -5,9 +5,10 @@
 //! the windows and submits arrival / expiry messages.  [`WindowSpec`]
 //! captures the two practical window types from Section 2 — time-based and
 //! tuple-based.  The schedule compiler in [`crate::driver`] turns a stream
-//! of arrivals into its expiry points in one linear pass, keeping only the
-//! live window (O(window) state); it rejects empty windows (`Count(0)`, a
-//! zero time span), whose tuples would leave before they arrive.
+//! of arrivals into its expiry points in one linear pass, tracking the
+//! live window as a run of arrival indexes; it rejects empty windows
+//! (`Count(0)`, a zero time span), whose tuples would leave before they
+//! arrive.
 
 use crate::time::TimeDelta;
 

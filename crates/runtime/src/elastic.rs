@@ -564,13 +564,11 @@ where
     /// chain sees only the events its router routes to it, so it knows no
     /// stream lengths: its last arrival leaves by the rest of the flush
     /// policy, a fence, or the end of the run.
-    pub(crate) fn inject(&mut self, event: &DriverEvent<R, S>) {
+    pub(crate) fn inject(&mut self, event: DriverEvent<R, S>) {
         self.clock.note_injection(event.at);
+        let arrival = event.event.is_arrival();
         self.entry.inject(event, &self.injector, &self.in_flight);
-        if matches!(
-            event.event,
-            StreamEvent::ArrivalR(_) | StreamEvent::ArrivalS(_)
-        ) {
+        if arrival {
             let (r, s) = self.entry.arrivals();
             self.metrics.publish_arrivals((r + s) as u64);
         }
@@ -628,32 +626,28 @@ where
         })
     }
 
-    /// The one driver loop of a chain: replays `events`, steered by the
-    /// plan's resizes at their event indexes and by `controller` (if
-    /// any) in the pacing waits, and calls `after_inject` with the
-    /// consumed-event count after every injection (the checkpoint
-    /// cadence).  Plan steps at or past the end still run.  Returns
-    /// `true` if the replay was cancelled.
+    /// The one driver loop of a chain: replays `events`, which hold
+    /// `arrivals` R and S arrivals, steered by the plan's resizes at their
+    /// event indexes and by `controller` (if any) in the pacing waits, and
+    /// calls `after_inject` with the consumed-event count after every
+    /// injection (the checkpoint cadence).  Plan steps at or past the end
+    /// still run.  Returns `true` if the replay was cancelled.
     fn replay(
         &mut self,
-        events: &[DriverEvent<R, S>],
+        events: impl IntoIterator<Item = DriverEvent<R, S>>,
+        arrivals: (usize, usize),
         plan: &ScalePlan,
         controller: Option<&Controller>,
-        mut after_inject: impl FnMut(&mut Self, usize, &DriverEvent<R, S>),
+        mut after_inject: impl FnMut(&mut Self, usize),
     ) -> bool {
         let mut timers = PunctualTimers::new(self.options.pacing);
         let cancel = self.options.cancel.clone().unwrap_or_default();
         // The frame holding a stream's last arrival leaves at once.
-        let (r, s) = events.iter().fold((0, 0), |(r, s), e| match e.event {
-            StreamEvent::ArrivalR(_) => (r + 1, s),
-            StreamEvent::ArrivalS(_) => (r, s + 1),
-            _ => (r, s),
-        });
-        self.entry.set_stream_lengths(r, s);
+        self.entry.set_stream_lengths(arrivals.0, arrivals.1);
         let tick = controller.map(|c| c.tick().max(MIN_PACING_SLICE));
         let slice = flush_slice(&self.options).into_iter().chain(tick).min();
         let mut steps = plan.steps().iter().peekable();
-        for (idx, event) in events.iter().enumerate() {
+        for (idx, event) in events.into_iter().enumerate() {
             while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
                 self.scale_to(step.target_nodes);
             }
@@ -664,7 +658,7 @@ where
                 break;
             }
             self.inject(event);
-            after_inject(self, idx + 1, event);
+            after_inject(self, idx + 1);
         }
         if !self.cancelled {
             for step in steps {
@@ -679,7 +673,13 @@ where
     /// plan's resizes at their event indexes.  Returns `true` if the
     /// replay was cancelled.  Call once per pipeline; then [`Self::finish`].
     pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &ScalePlan) -> bool {
-        self.replay(schedule.events(), plan, None, |_, _, _| {})
+        self.replay(
+            schedule.events(),
+            (schedule.r_count(), schedule.s_count()),
+            plan,
+            None,
+            |_, _| {},
+        )
     }
 
     /// Replays a driver schedule with the **closed loop** engaged: an
@@ -712,9 +712,10 @@ where
         );
         self.replay(
             schedule.events(),
+            (schedule.r_count(), schedule.s_count()),
             &ScalePlan::none(),
             Some(&controller),
-            |_, _, _| {},
+            |_, _| {},
         );
         controller.finish()
     }
@@ -1212,12 +1213,14 @@ where
         let mut checkpointer: ChainCheckpointer<R, S> =
             ChainCheckpointer::new(cfg.shard, cfg.full_interval);
         let mut log: ReplayLog<R, S> = ReplayLog::new(cfg.replay_capacity);
+        let events = schedule.events();
         let cancelled = self.replay(
-            schedule.events(),
+            events,
+            (schedule.r_count(), schedule.s_count()),
             plan,
             None,
-            |pipeline, consumed, event| {
-                log.record(event.clone());
+            |pipeline, consumed| {
+                log.record(events.get(consumed - 1).expect("a consumed event"));
                 if consumed.is_multiple_of(cfg.every_events) {
                     let ckpt = pipeline.capture_checkpoint(0, 1, consumed as u64);
                     // A failed store write is not fatal to the run — the log
@@ -1279,11 +1282,16 @@ where
     let width = restored.as_ref().map_or(cold_start_nodes, |c| c.width());
     let replay_from = restored.as_ref().map_or(0, |c| c.events_consumed as usize);
     let suffix = log.suffix(replay_from)?;
+    let suffix_arrivals = suffix.iter().fold((0, 0), |(r, s), e| match e.event {
+        StreamEvent::ArrivalR(_) => (r + 1, s),
+        StreamEvent::ArrivalS(_) => (r, s + 1),
+        _ => (r, s),
+    });
     let mut pipeline = ElasticPipeline::new(width, factory, predicate, policy, options.clone());
     if let Some(ckpt) = restored {
         pipeline.restore_checkpoint(ckpt);
     }
-    pipeline.replay(&suffix, &ScalePlan::none(), None, |_, _, _| {});
+    pipeline.replay(suffix, suffix_arrivals, &ScalePlan::none(), None, |_, _| {});
     Ok(pipeline.finish())
 }
 

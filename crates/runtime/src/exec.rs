@@ -711,30 +711,26 @@ impl<R, S> EntryState<R, S> {
     /// rules can flush; the idle-link rule waits for [`Self::poll`].
     pub(crate) fn inject<P, H>(
         &mut self,
-        event: &DriverEvent<R, S>,
+        event: DriverEvent<R, S>,
         injector: &Injector<R, S, P, H>,
         in_flight: &InFlight,
     ) where
-        R: Clone,
-        S: Clone,
         P: JoinPredicate<R, S>,
         H: HomePolicy,
     {
-        match &event.event {
-            StreamEvent::ArrivalR(r) => self.left.push_arrival(
-                injector.inject_r(r.clone()),
-                r.seq,
-                r.ts,
-                event.at,
-                self.marks.r(),
-            ),
-            StreamEvent::ArrivalS(s) => self.right.push_arrival(
-                injector.inject_s(s.clone()),
-                s.seq,
-                s.ts,
-                event.at,
-                self.marks.s(),
-            ),
+        match event.event {
+            StreamEvent::ArrivalR(r) => {
+                let (seq, ts) = (r.seq, r.ts);
+                let msg = injector.inject_r(r);
+                self.left
+                    .push_arrival(msg, seq, ts, event.at, self.marks.r())
+            }
+            StreamEvent::ArrivalS(s) => {
+                let (seq, ts) = (s.seq, s.ts);
+                let msg = injector.inject_s(s);
+                self.right
+                    .push_arrival(msg, seq, ts, event.at, self.marks.s())
+            }
             StreamEvent::ExpireS(seq) => {
                 // An expiry must never overtake its own arrival.  The two
                 // travel in opposite directions on different channels, so
@@ -747,13 +743,13 @@ impl<R, S> EntryState<R, S> {
                 // still travelling — send it and let the chain settle
                 // before the expiry even enters.
                 self.right
-                    .settle(*seq, self.marks.s(), in_flight, &mut self.frames_injected);
-                self.left.push(LeftToRight::ExpiryS(*seq), event.at);
+                    .settle(seq, self.marks.s(), in_flight, &mut self.frames_injected);
+                self.left.push(LeftToRight::ExpiryS(seq), event.at);
             }
             StreamEvent::ExpireR(seq) => {
                 self.left
-                    .settle(*seq, self.marks.r(), in_flight, &mut self.frames_injected);
-                self.right.push(RightToLeft::ExpiryR(*seq), event.at);
+                    .settle(seq, self.marks.r(), in_flight, &mut self.frames_injected);
+                self.right.push(RightToLeft::ExpiryR(seq), event.at);
             }
         }
         self.flush_due(event.at, false, in_flight);
@@ -1640,13 +1636,13 @@ mod tests {
         let injector = test_injector();
         let in_flight = InFlight::new();
 
-        entry.inject(&arrival_r(0), &injector, &in_flight);
-        entry.inject(&arrival_r(1), &injector, &in_flight);
+        entry.inject(arrival_r(0), &injector, &in_flight);
+        entry.inject(arrival_r(1), &injector, &in_flight);
         assert_eq!(entry.frames_injected, 0, "busy driver: held back");
         entry.poll(Timestamp::from_millis(1), &in_flight);
         assert_eq!(entry.frames_injected, 1, "idle driver, idle link: sent");
 
-        entry.inject(&arrival_r(2), &injector, &in_flight);
+        entry.inject(arrival_r(2), &injector, &in_flight);
         entry.poll(Timestamp::from_millis(2), &in_flight);
         assert_eq!(entry.frames_injected, 1, "busy link: held back");
 
@@ -1655,7 +1651,7 @@ mod tests {
         assert_eq!(entry.frames_injected, 2, "drained link releases it");
 
         // The stream's last arrival leaves even onto a busy link.
-        entry.inject(&arrival_r(3), &injector, &in_flight);
+        entry.inject(arrival_r(3), &injector, &in_flight);
         assert_eq!(entry.frames_injected, 3);
         assert_eq!(entry.arrivals(), (4, 0));
     }
@@ -1690,12 +1686,12 @@ mod tests {
             }
         });
 
-        entry.inject(&arrival_r(0), &injector, &in_flight);
+        entry.inject(arrival_r(0), &injector, &in_flight);
         let expiry = DriverEvent {
             at: Timestamp::from_millis(5),
             event: StreamEvent::ExpireR(SeqNo(0)),
         };
-        entry.inject(&expiry, &injector, &in_flight);
+        entry.inject(expiry, &injector, &in_flight);
         assert_eq!(worker.join().unwrap(), 1, "arrival sent by the barrier");
         assert_eq!(entry.frames_injected, 1, "the expiry rides a later frame");
         entry.flush_both(&in_flight);
@@ -1726,7 +1722,7 @@ mod tests {
         let injector = test_injector();
         let in_flight = Arc::new(InFlight::new());
 
-        entry.inject(&arrival_r(0), &injector, &in_flight);
+        entry.inject(arrival_r(0), &injector, &in_flight);
         entry.poll(Timestamp::from_millis(0), &in_flight);
         assert_eq!(entry.frames_injected, 1, "sent on the idle link");
         // A stand-in chain: takes the frame, holds it, then settles.
@@ -1747,7 +1743,7 @@ mod tests {
             at: Timestamp::from_millis(5),
             event: StreamEvent::ExpireR(SeqNo(0)),
         };
-        entry.inject(&expiry, &injector, &in_flight);
+        entry.inject(expiry, &injector, &in_flight);
         assert!(
             settled.load(Ordering::SeqCst),
             "the expiry went in while its arrival was still travelling"
@@ -1757,7 +1753,7 @@ mod tests {
 
         // Arrival 1 is sent; the mark reaching its timestamp is not
         // enough (another arrival may share it), passing it is.
-        entry.inject(&arrival_r(1), &injector, &in_flight);
+        entry.inject(arrival_r(1), &injector, &in_flight);
         entry.poll(Timestamp::from_millis(1), &in_flight);
         marks.observe_r(Timestamp::from_millis(1));
         assert!(entry.left.unsettled(SeqNo(1), marks.r()).is_some());

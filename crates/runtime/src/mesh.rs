@@ -51,7 +51,7 @@ use llhj_core::homing::HomePolicy;
 use llhj_core::predicate::JoinPredicate;
 use llhj_core::punctuation::OutputItem;
 use llhj_core::result::TimedResult;
-use llhj_core::shard::{merge_punctuated_streams, MeshPlan, RouteMode, ShardRouter};
+use llhj_core::shard::{merge_punctuated_streams, MeshPlan, Route, RouteMode, ShardRouter};
 use llhj_core::time::Timestamp;
 use llhj_core::tuple::SeqNo;
 use llhj_sync::sync::Arc;
@@ -215,11 +215,18 @@ where
         })
     }
 
-    /// Routes one driver event to its chain(s).
-    fn inject(&mut self, event: &DriverEvent<R, S>) {
-        let route = self.router.route(&event.event);
-        for shard in route.targets(self.chains.len()) {
-            self.chains[shard].inject(event);
+    /// Routes one driver event to its chain(s).  A broadcast clones it
+    /// for every chain but the last.
+    fn inject(&mut self, event: DriverEvent<R, S>) {
+        match self.router.route(&event.event) {
+            Route::One(shard) => self.chains[shard].inject(event),
+            Route::All => {
+                let (last, rest) = self.chains.split_last_mut().expect("a mesh has a chain");
+                for chain in rest {
+                    chain.inject(event.clone());
+                }
+                last.inject(event);
+            }
         }
     }
 
@@ -339,27 +346,29 @@ where
     /// still run, exactly like a chain-level [`crate::ScalePlan`]'s.
     fn replay(
         &mut self,
-        events: &[DriverEvent<R, S>],
+        events: impl IntoIterator<Item = DriverEvent<R, S>>,
         plan: &MeshPlan,
-        mut after_inject: impl FnMut(&mut Self, usize, &DriverEvent<R, S>),
+        mut after_inject: impl FnMut(&mut Self, usize),
     ) {
         let mut timers = PunctualTimers::new(self.options.pacing);
         let cancel = self.options.cancel.clone().unwrap_or_default();
         let mut steps = plan.steps.iter().peekable();
-        for (idx, event) in events.iter().enumerate() {
-            while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-                self.reshape(step.shards, step.width, idx);
+        let mut consumed = 0;
+        for event in events {
+            while let Some(step) = steps.next_if(|s| s.after_events <= consumed) {
+                self.reshape(step.shards, step.width, consumed);
             }
             if cancel.is_cancelled() || self.pace(&mut timers, event.at, &cancel) {
                 self.cancelled = true;
                 break;
             }
             self.inject(event);
-            after_inject(self, idx + 1, event);
+            consumed += 1;
+            after_inject(self, consumed);
         }
         if !self.cancelled {
             for step in steps {
-                self.reshape(step.shards, step.width, events.len());
+                self.reshape(step.shards, step.width, consumed);
             }
         }
     }
@@ -368,7 +377,7 @@ where
     /// reshapings at their event indexes.  Call once; then
     /// [`MeshPipeline::finish`].
     pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &MeshPlan) {
-        self.replay(schedule.events(), plan, |_, _, _| {});
+        self.replay(schedule.events(), plan, |_, _| {});
     }
 
     /// Drains every chain and returns the merged outcome.
@@ -444,8 +453,9 @@ where
         // Reshapes already applied to `checkpointers`.
         let mut synced = 0;
         let mut log: ReplayLog<R, S> = ReplayLog::new(cfg.replay_capacity);
-        self.replay(schedule.events(), plan, |mesh, consumed, event| {
-            log.record(event.clone());
+        let events = schedule.events();
+        self.replay(events, plan, |mesh, consumed| {
+            log.record(events.get(consumed - 1).expect("a consumed event"));
             if !consumed.is_multiple_of(cfg.every_events) {
                 return;
             }
@@ -548,7 +558,7 @@ where
             mesh.chains[shard].restore_checkpoint(ckpt);
         }
     }
-    mesh.replay(&suffix, &MeshPlan::none(), |_, _, _| {});
+    mesh.replay(suffix, &MeshPlan::none(), |_, _| {});
     Ok(mesh.finish())
 }
 
@@ -772,8 +782,8 @@ mod tests {
             &opts(),
             &{
                 let mut full = log;
-                for event in &sched.events()[2 * events / 3..] {
-                    full.record(event.clone());
+                for event in sched.events().slice(2 * events / 3..) {
+                    full.record(event);
                 }
                 full
             },

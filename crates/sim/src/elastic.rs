@@ -948,7 +948,7 @@ where
         sim.resize(target);
     };
 
-    for (idx, event) in schedule.events().iter().enumerate() {
+    for (idx, event) in schedule.events().into_iter().enumerate() {
         match steering {
             Steering::Plan(steps) => {
                 while let Some((_, target)) = steps.next_if(|&(after, _)| after <= idx) {
@@ -1021,7 +1021,7 @@ where
 
         last_at = event.at;
         let at_ns = ts_to_ns(event.at);
-        sim.inject(event, at_ns);
+        sim.inject(&event, at_ns);
         // A stream's last arrival leaves at once: a real driver stops
         // waiting for more tuples once the stream ends, and holding the
         // tail back would charge it the delay of the trailing expiry

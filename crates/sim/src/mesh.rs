@@ -22,7 +22,7 @@ use crate::config::SimConfig;
 use crate::cost::SimNanos;
 use crate::elastic::{ts_to_ns, ElasticSim, SimCheckpoint, SimCheckpointEvent};
 use crate::throughput::{ThroughputResult, ThroughputSearch};
-use llhj_core::driver::{DriverEvent, DriverSchedule, StreamEvent};
+use llhj_core::driver::{DriverSchedule, Events, StreamEvent};
 use llhj_core::homing::HomePolicy;
 use llhj_core::message::NodeOutput;
 use llhj_core::predicate::JoinPredicate;
@@ -394,22 +394,18 @@ where
     /// checkpoint.
     fn replay(
         &mut self,
-        events: &[DriverEvent<R, S>],
+        events: Events<'_, R, S>,
         rebase: SimNanos,
         plan: &MeshPlan,
         checkpoint_every: Option<usize>,
         crash_after: Option<usize>,
     ) -> (Vec<SimCheckpointEvent>, Option<SimMeshCheckpoint<R, S>>) {
-        let (mut left_r, mut left_s) = events.iter().fold((0, 0), |(r, s), e| match e.event {
-            StreamEvent::ArrivalR(_) => (r + 1, s),
-            StreamEvent::ArrivalS(_) => (r, s + 1),
-            _ => (r, s),
-        });
+        let (mut left_r, mut left_s) = events.arrivals();
         let mut ckpt_log = Vec::new();
         let mut latest = None;
         let mut steps = plan.steps.iter().peekable();
         let mut crashed = false;
-        for (idx, event) in events.iter().enumerate() {
+        for (idx, event) in events.into_iter().enumerate() {
             while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
                 self.reshape(step.shards, step.width, idx);
             }
@@ -420,7 +416,7 @@ where
             self.last_ns = ts_to_ns(event.at).saturating_sub(rebase);
             let route = self.router.route(&event.event);
             for shard in route.targets(self.sims.len()) {
-                self.sims[shard].inject(event, self.last_ns);
+                self.sims[shard].inject(&event, self.last_ns);
             }
             // A stream's last arrival ends the stream for every shard: no
             // partial entry frame of that stream need wait any longer.
@@ -570,8 +566,9 @@ where
         }
     }
     let start_idx = ckpt.map_or(0, |c| c.after_events);
-    let events = &schedule.events()[start_idx.min(schedule.events().len())..];
-    let rebase = events.first().map_or(0, |e| ts_to_ns(e.at));
+    let events = schedule.events();
+    let events = events.slice(start_idx.min(events.len())..);
+    let rebase = events.get(0).map_or(0, |e| ts_to_ns(e.at));
     mesh.replay(events, rebase, &MeshPlan::none(), None, None);
     mesh.into_report()
 }

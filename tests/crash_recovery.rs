@@ -163,8 +163,8 @@ fn crash_and_recover_runtime<P>(
     // log extended with everything the crashed run never consumed.
     let consumed = log.oldest() + log.len();
     let mut full_log = log;
-    for event in &schedule.events()[consumed..] {
-        full_log.record(event.clone());
+    for event in schedule.events().slice(consumed..) {
+        full_log.record(event);
     }
     let recovered_output = {
         let store = Arc::clone(&store);

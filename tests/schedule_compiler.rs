@@ -90,10 +90,13 @@ fn assert_same<R, S>(
     let (expected, r_count, s_count) = reference(r.clone(), s.clone(), window_r, window_s);
     let sched = DriverSchedule::build(r, s, window_r, window_s);
     let got = sched.events();
-    if let Some(i) = (0..expected.len().min(got.len())).find(|&i| expected[i] != got[i]) {
+    if let Some(i) =
+        (0..expected.len().min(got.len())).find(|&i| got.get(i).as_ref() != Some(&expected[i]))
+    {
         panic!(
             "{label}: event {i} differs: expected {:?}, got {:?}",
-            expected[i], got[i]
+            expected[i],
+            got.get(i)
         );
     }
     assert_eq!(got.len(), expected.len(), "{label}: event count");
